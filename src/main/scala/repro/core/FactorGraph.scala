@@ -10,8 +10,9 @@ import repro.core.Loa._
   *
   *   Σ_factors ln(max(ε, AOF(likelihood))) / #factors   (Eq. 2 + §6 normalization)
   *
-  * This driver-side implementation is the reference semantics; the Spark
-  * scorer in [[Fixy]] is differential-tested against it.
+  * This is the scorer [[Fixy]] runs, one Spark task per scene; a DataFrame
+  * formulation of the same feature set is kept in the tests as an independent
+  * reference.
   */
 object FactorGraph {
 
@@ -46,33 +47,45 @@ object FactorGraph {
     * adjacent bundle pair), (track feature × track).
     */
   def compileTrack(track: Track, features: Seq[AppliedFeature]): Compiled = {
-    val obs = track.allObs.toIndexedSeq
-    val obsIdx = obs.zipWithIndex.toMap
-    val bundleMembers: Map[Bundle, Seq[Int]] =
-      track.bundles.map(b => b -> b.obs.map(obsIdx)).toMap
-
-    val ordered = track.bundles.sortBy(_.frame)
+    // Observations and bundles are indexed by position, so equal observations
+    // or bundles in one track stay distinct variables.
+    val bundles = track.bundles.toIndexedSeq
+    val obs = bundles.flatMap(_.obs)
+    val start = bundles.scanLeft(0)(_ + _.obs.size)
+    def members(b: Int): Seq[Int] = start(b) until start(b + 1)
+    val ordered = bundles.indices.sortBy(bundles(_).frame)
     val factors = Seq.newBuilder[Factor]
 
     features.foreach {
       case f: ObsFeature =>
-        obs.zipWithIndex.foreach { case (o, i) =>
-          factors += Factor(f.name, Seq(i), f.aof(f.likelihood(o)))
-        }
+        obs.indices.foreach(i => factors += Factor(f.name, Seq(i), f.aof(f.likelihood(obs(i)))))
       case f: BundleFeature =>
-        ordered.foreach { b =>
-          factors += Factor(f.name, bundleMembers(b), f.aof(f.likelihood(b)))
-        }
+        ordered.foreach(b => factors += Factor(f.name, members(b), f.aof(f.likelihood(bundles(b)))))
       case f: TransitionFeature =>
         ordered.sliding(2).foreach {
-          case Seq(prev, next) if next.frame > prev.frame =>
-            factors += Factor(f.name, bundleMembers(prev) ++ bundleMembers(next), f.aof(f.likelihood(prev, next)))
+          case Seq(prev, next) if bundles(next).frame > bundles(prev).frame =>
+            factors += Factor(f.name, members(prev) ++ members(next), f.aof(f.likelihood(bundles(prev), bundles(next))))
           case _ => // same-frame pair or singleton track: no transition factor
         }
       case f: TrackFeature =>
         factors += Factor(f.name, obs.indices, f.aof(f.likelihood(track)))
     }
     Compiled(obs, factors.result())
+  }
+
+  /** Eq. 2 score of `track.bundles(b)` over its incoming factors in
+    * `compiled`, the track's compiled graph: the factors that touch the
+    * bundle and no observation of a later frame. These are the bundle's own
+    * observation and bundle factors and the transition from its predecessor,
+    * but not the transition to its successor (the §8.3 bundle score).
+    */
+  def scoreBundle(track: Track, compiled: Compiled, b: Int): Double = {
+    val start = track.bundles.iterator.take(b).map(_.obs.size).sum
+    val own = start until start + track.bundles(b).obs.size
+    val frame = track.bundles(b).frame
+    Compiled(compiled.obs, compiled.factors.filter { f =>
+      f.memberObs.exists(own.contains) && f.memberObs.forall(compiled.obs(_).frame <= frame)
+    }).score
   }
 
   /** Compile and score every track of a scene; returns (track, score) ranked

@@ -2,10 +2,10 @@ package repro.core
 
 import org.apache.spark.sql.{DataFrame, Dataset, SparkSession}
 import org.apache.spark.sql.expressions.Window
-import org.apache.spark.sql.functions._
+import org.apache.spark.sql.functions.{col, desc, row_number}
 
 /** The learned feature distributions (§5) — fitted offline from existing
-  * (possibly noisy) human labels and broadcast to executors for scoring.
+  * (possibly noisy) human labels and shipped to the per-scene scoring tasks.
   *
   * Classes with too few training examples fall back to the pooled (all-class)
   * distribution so an unseen class never crashes scoring.
@@ -47,60 +47,105 @@ final case class FixyConfig(
     minClassSamples: Int = 10,
 )
 
+/** One track scored by Eq. 2, with the per-track statistics the applications
+  * filter and report on: observation counts, distinct frames, mean and max
+  * model confidence (None without model observations) and the smallest member
+  * class. `rank` is 1-based within the scene.
+  */
+final case class ScoredTrack(
+    scene: Long,
+    trackId: Long,
+    score: Double,
+    nObs: Long,
+    nHuman: Long,
+    nModel: Long,
+    nFrames: Long,
+    meanConf: Option[Double],
+    maxConf: Option[Double],
+    cls: String,
+    rank: Int,
+)
+
+/** One §8.3 candidate bundle scored by Eq. 2 over its incoming factors;
+  * `rank` is 1-based within the scene.
+  */
+final case class ScoredBundle(
+    scene: Long,
+    trackId: Long,
+    bundleId: Long,
+    frame: Int,
+    score: Double,
+    nObs: Long,
+    cls: String,
+    rank: Int,
+)
+
 /** Fixy (§3): offline feature-distribution learning over existing labels and
-  * online scoring/ranking of potential errors, implemented as DataFrame jobs.
+  * online scoring/ranking of potential errors. Scenes are independent, so each
+  * phase is one Spark pass with one task per scene
+  * (`groupByKey(scene).flatMapGroups`) that runs the pure-Scala LOA model:
+  * [[Association.assignScene]], [[Loa.fromTracked]] and
+  * [[FactorGraph.compileTrack]] over [[driverFeatures]].
   *
   * All rankers take *already associated* observations ([[TrackedObs]]) so the
   * association pass is shared; `Association.assignTracks` produces them.
   */
 object Fixy {
-  import FactorGraph.Eps
 
   // --------------------------------------------------------------------------
   // Offline phase: learn feature distributions from existing human labels (§5.2).
   // --------------------------------------------------------------------------
 
+  /** One training value of a learned distribution: `kind` is "volume",
+    * "speed" or "length"; `cls` is empty for lengths.
+    */
+  private[core] final case class Sample(kind: String, cls: String, value: Double)
+
   /** Fit volume/velocity/track-length distributions from the human-proposed
     * labels in `obs`. Labels may themselves contain errors — the paper's point
     * is that the aggregate distributions are still informative.
+    *
+    * One task per scene associates the scene's human labels and emits a volume
+    * per observation, a speed per transition and a length per track; the
+    * samples are collected once and fitted on the driver.
     */
   def learn(obs: Dataset[Obs], cfg: FixyConfig = FixyConfig())(implicit spark: SparkSession): LearnedModel = {
     import spark.implicits._
-    val human = obs.filter(_.source == Sources.Human)
-    val tracked = Association.assignTracks(human, cfg.assoc)
-    val df = tracked.toDF().cache()
-    try {
-      val volumes: Seq[(String, Double)] =
-        df.select(col("cls"), (col("l") * col("w") * col("h")).as("v")).as[(String, Double)].collect().toSeq
+    val samples = obs.filter(_.source == Sources.Human).groupByKey(_.scene).flatMapGroups { (_, rows) =>
+      Loa.fromTracked(Association.assignScene(rows.toSeq, cfg.assoc)).flatMap(_.tracks).flatMap { t =>
+        t.allObs.map(o => Sample("volume", o.cls, o.volume)) ++
+          t.bundles.sliding(2).flatMap {
+            case Seq(p, n) => Loa.transitionSpeed(p, n, cfg.fps).map(Sample("speed", n.cls, _))
+            case _         => None
+          } :+
+          Sample("length", "", t.nObs.toDouble)
+      }
+    }.collect().toSeq.groupBy(_.kind).withDefaultValue(Seq.empty)
 
-      val speeds: Seq[(String, Double)] = bundleTransitions(df, cfg).select("bcls", "speed").as[(String, Double)].collect().toSeq
+    val volumes = samples("volume")
+    val speeds = samples("speed")
+    require(volumes.nonEmpty, "no human labels to learn volume distribution from")
+    require(speeds.nonEmpty, "no human tracks to learn velocity distribution from")
 
-      val lengths: Seq[Double] =
-        df.groupBy("trackId").agg(count(lit(1)).as("n")).select(col("n").cast("double")).as[Double].collect().toSeq
+    def byClass(ss: Seq[Sample]): Map[String, Kde] =
+      ss.groupBy(_.cls).collect {
+        case (c, vs) if vs.size >= cfg.minClassSamples => c -> Kde.fit(vs.map(_.value))
+      }
 
-      require(volumes.nonEmpty, "no human labels to learn volume distribution from")
-      require(speeds.nonEmpty, "no human tracks to learn velocity distribution from")
-
-      def byClass(pairs: Seq[(String, Double)]): Map[String, Kde] =
-        pairs.groupBy(_._1).collect {
-          case (c, vs) if vs.size >= cfg.minClassSamples => c -> Kde.fit(vs.map(_._2))
-        }
-
-      LearnedModel(
-        volumeByClass = byClass(volumes),
-        velocityByClass = byClass(speeds),
-        volumePooled = Kde.fit(volumes.map(_._2)),
-        velocityPooled = Kde.fit(speeds.map(_._2)),
-        trackLength = Kde.fit(lengths),
-        distanceScale = cfg.distanceScale,
-      )
-    } finally df.unpersist()
+    LearnedModel(
+      volumeByClass = byClass(volumes),
+      velocityByClass = byClass(speeds),
+      volumePooled = Kde.fit(volumes.map(_.value)),
+      velocityPooled = Kde.fit(speeds.map(_.value)),
+      trackLength = Kde.fit(samples("length").map(_.value)),
+      distanceScale = cfg.distanceScale,
+    )
   }
 
-  /** The paper's feature set (Table 2) as LOA driver-side applied features —
-    * the reference semantics the Spark scorer must match factor-for-factor.
-    * The "model only" and "count" features are hard filters applied outside
-    * the score (see [[rankMissingTracks]]), so they do not appear here.
+  /** The paper's feature set (Table 2) as LOA applied features — the one
+    * definition every scorer compiles into factor graphs. The "model only"
+    * and "count" features are hard filters applied outside the score (see
+    * [[rankMissingTracks]]), so they do not appear here.
     */
   def driverFeatures(
       model: LearnedModel,
@@ -114,7 +159,7 @@ object Fixy {
     val distance = Loa.ObsFeature("distance", aof, o => model.distanceLik(o.distanceToAv))
     val velocity = Loa.TransitionFeature("velocity", aof, (p, n) =>
       Loa.transitionSpeed(p, n, cfg.fps)
-        .map(s => model.velocityLik(n.obs.map(_.cls).min, s))
+        .map(s => model.velocityLik(n.cls, s))
         .getOrElse(1.0))
     val length = Loa.TrackFeature("count", aof, t => model.trackLengthLik(t.nObs.toDouble))
     Seq(volume) ++
@@ -124,30 +169,42 @@ object Fixy {
   }
 
   // --------------------------------------------------------------------------
-  // Shared scoring machinery (Eq. 2 over the compiled factor graph, as a
-  // DataFrame aggregation; differential-tested against FactorGraph).
+  // Online phase: Eq. 2 over each track's compiled factor graph, one task per
+  // scene; filters and per-scene ranks are applied inside the task.
   // --------------------------------------------------------------------------
 
-  /** Per-bundle representative centers + the speed to the previous bundle of
-    * the same track (the transition feature's raw value). `bcls` is the
-    * bundle's deterministic class representative (min, matching the driver
-    * reference semantics).
+  /** Score the tracks of every scene that pass `keep` (the application's hard
+    * filters) and rank them within their scene: highest score first, ties to
+    * the smaller track id.
     */
-  private[core] def bundleTransitions(trackedDf: DataFrame, cfg: FixyConfig): DataFrame = {
-    val centers = trackedDf
-      .groupBy("scene", "trackId", "bundleId", "frame")
-      .agg(avg("x").as("cx"), avg("y").as("cy"), min("cls").as("bcls"))
-    val w = Window.partitionBy("trackId").orderBy("frame", "bundleId")
-    centers
-      .withColumn("pcx", lag("cx", 1).over(w))
-      .withColumn("pcy", lag("cy", 1).over(w))
-      .withColumn("pframe", lag("frame", 1).over(w))
-      .where(col("pframe").isNotNull && col("frame") > col("pframe"))
-      .withColumn(
-        "speed",
-        hypot(col("cx") - col("pcx"), col("cy") - col("pcy")) * cfg.fps / (col("frame") - col("pframe")),
-      )
-      .select("scene", "trackId", "bundleId", "frame", "bcls", "speed")
+  private def scoreScenes(
+      tracked: Dataset[TrackedObs],
+      model: LearnedModel,
+      cfg: FixyConfig,
+      useDistance: Boolean,
+      useTrackLength: Boolean,
+      invert: Boolean,
+  )(keep: Loa.Track => Boolean)(implicit spark: SparkSession): Dataset[ScoredTrack] = {
+    import spark.implicits._
+    tracked.groupByKey(_.scene).flatMapGroups { (scene, rows) =>
+      val features = driverFeatures(model, cfg, useDistance, useTrackLength, invert)
+      val scored = Loa.fromTracked(rows.toSeq).flatMap(_.tracks).filter(keep).map { t =>
+        val obs = t.allObs
+        val conf = obs.filter(_.source == Sources.Model).map(_.conf)
+        ScoredTrack(
+          scene, t.trackId, FactorGraph.compileTrack(t, features).score,
+          nObs = obs.size,
+          nHuman = obs.count(_.source == Sources.Human),
+          nModel = conf.size,
+          nFrames = t.bundles.map(_.frame).distinct.size,
+          meanConf = if (conf.isEmpty) None else Some(conf.sum / conf.size),
+          maxConf = conf.maxOption,
+          cls = obs.map(_.cls).min,
+          rank = 0,
+        )
+      }
+      scored.sortBy(t => (-t.score, t.trackId)).zipWithIndex.map { case (t, i) => t.copy(rank = i + 1) }
+    }
   }
 
   /** Score every track of `tracked` per Eq. 2.
@@ -170,58 +227,8 @@ object Fixy {
       useDistance: Boolean = true,
       useTrackLength: Boolean = false,
       invert: Boolean = false,
-  )(implicit spark: SparkSession): DataFrame = {
-    val bc = spark.sparkContext.broadcast(model)
-    val volLikU = udf((cls: String, v: Double) => bc.value.volumeLik(cls, v))
-    val distLikU = udf((d: Double) => bc.value.distanceLik(d))
-    val velLikU = udf((cls: String, s: Double) => bc.value.velocityLik(cls, s))
-    val lenLikU = udf((n: Double) => bc.value.trackLengthLik(n))
-    def aof(p: org.apache.spark.sql.Column): org.apache.spark.sql.Column =
-      if (invert) lit(1.0) - p else p
-    def lnF(p: org.apache.spark.sql.Column): org.apache.spark.sql.Column =
-      log(greatest(lit(Eps), aof(p)))
-
-    val df = tracked.toDF()
-
-    val perObs = df
-      .withColumn("lnVol", lnF(volLikU(col("cls"), col("l") * col("w") * col("h"))))
-      .withColumn("lnDist", if (useDistance) lnF(distLikU(hypot(col("x"), col("y")))) else lit(0.0))
-    val obsFactorsPerObs = if (useDistance) 2 else 1
-
-    val obsAgg = perObs
-      .groupBy("scene", "trackId")
-      .agg(
-        sum(col("lnVol") + col("lnDist")).as("obsLog"),
-        count(lit(1)).as("nObs"),
-        sum(when(col("source") === Sources.Human, 1).otherwise(0)).as("nHuman"),
-        sum(when(col("source") === Sources.Model, 1).otherwise(0)).as("nModel"),
-        countDistinct("frame").as("nFrames"),
-        avg(when(col("source") === Sources.Model, col("conf"))).as("meanConf"),
-        max(when(col("source") === Sources.Model, col("conf"))).as("maxConf"),
-        min("cls").as("cls"),
-      )
-
-    val transAgg = bundleTransitions(df, cfg)
-      .withColumn("lnVel", lnF(velLikU(col("bcls"), col("speed"))))
-      .groupBy("scene", "trackId")
-      .agg(sum("lnVel").as("transLog"), count(lit(1)).as("nTrans"))
-
-    val joined = obsAgg
-      .join(transAgg, Seq("scene", "trackId"), "left")
-      .na.fill(Map("transLog" -> 0.0, "nTrans" -> 0L))
-
-    val withLen =
-      if (useTrackLength)
-        joined
-          .withColumn("lenLog", lnF(lenLikU(col("nObs").cast("double"))))
-          .withColumn("nLenFactors", lit(1L))
-      else joined.withColumn("lenLog", lit(0.0)).withColumn("nLenFactors", lit(0L))
-
-    withLen
-      .withColumn("nFactors", col("nObs") * obsFactorsPerObs + col("nTrans") + col("nLenFactors"))
-      .withColumn("score", (col("obsLog") + col("transLog") + col("lenLog")) / col("nFactors"))
-      .select("scene", "trackId", "score", "nObs", "nHuman", "nModel", "nFrames", "meanConf", "maxConf", "cls")
-  }
+  )(implicit spark: SparkSession): DataFrame =
+    scoreScenes(tracked, model, cfg, useDistance, useTrackLength, invert)(_ => true).toDF().drop("rank")
 
   // --------------------------------------------------------------------------
   // Application 1 (§7, §8.2): finding tracks missed entirely by human labels.
@@ -238,12 +245,10 @@ object Fixy {
       tracked: Dataset[TrackedObs],
       model: LearnedModel,
       cfg: FixyConfig = FixyConfig(),
-  )(implicit spark: SparkSession): DataFrame = {
-    val scored = scoreTracks(tracked, model, cfg, useDistance = true)
-      .where(col("nHuman") === 0 && col("nObs") >= cfg.minTrackObs)
-    val w = Window.partitionBy("scene").orderBy(desc("score"), col("trackId"))
-    scored.withColumn("rank", row_number().over(w))
-  }
+  )(implicit spark: SparkSession): DataFrame =
+    scoreScenes(tracked, model, cfg, useDistance = true, useTrackLength = false, invert = false) { t =>
+      !t.hasSource(Sources.Human) && t.nObs >= cfg.minTrackObs
+    }.toDF()
 
   // --------------------------------------------------------------------------
   // Application 2 (§7, §8.3): finding missing labels *within* human tracks.
@@ -254,60 +259,37 @@ object Fixy {
     * P(track without human) := 0. We additionally zero bundles at frames
     * where the same track already has a human observation (the label exists
     * at that frame; it merely failed same-frame bundling), which is the
-    * track-level reading of "bundle contains a human proposal". Higher score
-    * = more likely a real missing label. Adds `rank` (1-based, per scene).
+    * track-level reading of "bundle contains a human proposal". A bundle's
+    * score is Eq. 2 over its incoming factors ([[FactorGraph.scoreBundle]]):
+    * its observations' factors and the transition from its predecessor.
+    * Higher score = more likely a real missing label. Adds `rank` (1-based,
+    * per scene).
     */
   def rankMissingObservations(
       tracked: Dataset[TrackedObs],
       model: LearnedModel,
       cfg: FixyConfig = FixyConfig(),
   )(implicit spark: SparkSession): DataFrame = {
-    val bc = spark.sparkContext.broadcast(model)
-    val volLikU = udf((cls: String, v: Double) => bc.value.volumeLik(cls, v))
-    val distLikU = udf((d: Double) => bc.value.distanceLik(d))
-    val velLikU = udf((cls: String, s: Double) => bc.value.velocityLik(cls, s))
-    def lnF(p: org.apache.spark.sql.Column) = log(greatest(lit(Eps), p))
-
-    val df = tracked.toDF()
-
-    val bundleAgg = df
-      .withColumn("lnVol", lnF(volLikU(col("cls"), col("l") * col("w") * col("h"))))
-      .withColumn("lnDist", lnF(distLikU(hypot(col("x"), col("y")))))
-      .groupBy("scene", "trackId", "bundleId", "frame")
-      .agg(
-        sum(col("lnVol") + col("lnDist")).as("obsLog"),
-        count(lit(1)).as("nObs"),
-        sum(when(col("source") === Sources.Human, 1).otherwise(0)).as("nHumanInBundle"),
-        min("cls").as("cls"),
-      )
-
-    val trackHuman = df
-      .groupBy("trackId")
-      .agg(sum(when(col("source") === Sources.Human, 1).otherwise(0)).as("nHumanInTrack"))
-
-    val humanFrames = df
-      .where(col("source") === Sources.Human)
-      .select(col("trackId"), col("frame"))
-      .distinct()
-      .withColumn("humanAtFrame", lit(true))
-
-    val trans = bundleTransitions(df, cfg)
-      .withColumn("lnVel", lnF(velLikU(col("bcls"), col("speed"))))
-      .select("bundleId", "lnVel")
-
-    val scored = bundleAgg
-      .join(trackHuman, Seq("trackId"))
-      .join(humanFrames, Seq("trackId", "frame"), "left")
-      .join(trans, Seq("bundleId"), "left")
-      .where(col("nHumanInBundle") === 0 && col("nHumanInTrack") > 0 && col("humanAtFrame").isNull)
-      .withColumn("nTrans", when(col("lnVel").isNotNull, 1L).otherwise(0L))
-      .withColumn(
-        "score",
-        (col("obsLog") + coalesce(col("lnVel"), lit(0.0))) / (col("nObs") * 2 + col("nTrans")),
-      )
-      .select("scene", "trackId", "bundleId", "frame", "score", "nObs", "cls")
-    val w = Window.partitionBy("scene").orderBy(desc("score"), col("bundleId"))
-    scored.withColumn("rank", row_number().over(w))
+    import spark.implicits._
+    tracked.groupByKey(_.scene).flatMapGroups { (scene, it) =>
+      val rows = it.toSeq
+      val features = driverFeatures(model, cfg)
+      // Loa.fromTracked orders each track's bundles by (frame, bundleId).
+      val bundleIds = rows.groupBy(_.trackId).map { case (tid, rs) =>
+        tid -> rs.map(r => (r.frame, r.bundleId)).distinct.sorted.map(_._2)
+      }
+      val candidates = Loa.fromTracked(rows).flatMap(_.tracks).filter(_.hasSource(Sources.Human)).flatMap { t =>
+        val humanFrames = t.allObs.filter(_.source == Sources.Human).map(_.frame).toSet
+        lazy val compiled = FactorGraph.compileTrack(t, features)
+        t.bundles.indices.collect {
+          case k if !t.bundles(k).hasSource(Sources.Human) && !humanFrames(t.bundles(k).frame) =>
+            val b = t.bundles(k)
+            ScoredBundle(scene, t.trackId, bundleIds(t.trackId)(k), b.frame,
+              FactorGraph.scoreBundle(t, compiled, k), b.obs.size, b.cls, rank = 0)
+        }
+      }
+      candidates.sortBy(b => (-b.score, b.bundleId)).zipWithIndex.map { case (b, i) => b.copy(rank = i + 1) }
+    }.toDF()
   }
 
   // --------------------------------------------------------------------------
@@ -317,7 +299,8 @@ object Fixy {
   /** Rank model tracks by *implausibility* (the `1 − x` AOF), excluding any
     * track in `excludedTrackIds` (the errors the ad-hoc MAs already found,
     * per §8.4). Input should contain model observations only. Adds `rank`
-    * (1-based, global — the paper reports a single top-10 over 5 scenes).
+    * (1-based, global — the paper reports a single top-10 over 5 scenes),
+    * ranked over the scored tracks that pass the filters.
     */
   def rankModelErrors(
       tracked: Dataset[TrackedObs],
@@ -325,10 +308,9 @@ object Fixy {
       cfg: FixyConfig = FixyConfig(),
       excludedTrackIds: Seq[Long] = Seq.empty,
   )(implicit spark: SparkSession): DataFrame = {
-    val scored = scoreTracks(tracked, model, cfg, useDistance = false, useTrackLength = true, invert = true)
-      .where(col("nObs") >= cfg.minTrackObs)
-      .where(!col("trackId").isInCollection(if (excludedTrackIds.isEmpty) Seq(-1L) else excludedTrackIds))
-    val w = Window.orderBy(desc("score"), col("trackId"))
-    scored.withColumn("rank", row_number().over(w))
+    val excluded = excludedTrackIds.toSet
+    scoreScenes(tracked, model, cfg, useDistance = false, useTrackLength = true, invert = true) { t =>
+      t.nObs >= cfg.minTrackObs && !excluded(t.trackId)
+    }.toDF().withColumn("rank", row_number().over(Window.orderBy(desc("score"), col("trackId"))))
   }
 }

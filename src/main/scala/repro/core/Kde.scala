@@ -12,7 +12,7 @@ package repro.core
   * makes the `1 − x` application objective function (§5.3) well defined.
   *
   * Instances are immutable and serializable, so a map of fitted KDEs can be
-  * broadcast to Spark executors and referenced from scoring UDFs.
+  * shipped to the Spark tasks that score scenes.
   */
 final case class Kde(
     samples: Array[Double],

@@ -4,16 +4,18 @@ package repro.core
   * features over each level, feature distributions, and the applied-feature
   * form that [[FactorGraph]] compiles to factors.
   *
-  * This driver-side object model is the *reference semantics* of LOA. The
-  * Spark scorer in [[Fixy]] implements the same semantics as a DataFrame job
-  * and is differential-tested against this model.
+  * This object model is the semantics of LOA that [[Fixy]] runs: its Spark
+  * jobs rebuild each scene with [[fromTracked]] and score it through
+  * [[FactorGraph]], one task per scene.
   */
 object Loa {
 
   /** Observation bundle β: same-frame observations associated by IOU. */
   final case class Bundle(frame: Int, obs: Seq[Obs]) {
-    /** Representative (centroid) box used for transitions and tracking. */
-    def representative: Box = {
+    /** Representative (centroid) box used for transitions and tracking;
+      * computed once per bundle, as both of a bundle's transitions read it.
+      */
+    lazy val representative: Box = {
       val k = obs.size.toDouble
       Box(
         obs.map(_.x).sum / k, obs.map(_.y).sum / k,
@@ -22,6 +24,10 @@ object Loa {
       )
     }
     def hasSource(s: String): Boolean = obs.exists(_.source == s)
+    /** Class representative: the smallest member class, so a bundle whose
+      * sources disagree on the class still gets one deterministic class.
+      */
+    def cls: String = obs.map(_.cls).min
   }
 
   /** Track τ: bundles ordered by frame. */

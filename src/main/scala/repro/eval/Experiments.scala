@@ -1,6 +1,6 @@
 package repro.eval
 
-import org.apache.spark.sql.{Dataset, SparkSession}
+import org.apache.spark.sql.{DataFrame, Dataset, SparkSession}
 import org.apache.spark.sql.expressions.Window
 import org.apache.spark.sql.functions._
 
@@ -41,29 +41,31 @@ object Experiments {
       val truth = PerceptionData.truth(eval)
       val scenes = scenesWithMissing(truth)
 
-      def label(ranked: org.apache.spark.sql.DataFrame) =
-        Metrics.labelMissingTrackProposals(ranked, tracked, truth).cache()
+      def label(ranked: DataFrame) = Metrics.labelMissingTrackProposals(ranked, tracked, truth).cache()
+      def precision(labeled: DataFrame): Map[Int, Double] =
+        Seq(10, 5, 1).map(k => k -> Metrics.precisionAtK(labeled, scenes, k)).toMap
 
-      val fixy = label(Fixy.rankMissingTracks(tracked, learned, cfg))
-      val maConf = label(ModelAssertions.consistency(tracked, "conf", cfg.minTrackObs))
       // The random severity ordering is a draw from a distribution; average a
       // few seeds so the baseline row reports its expectation rather than one
       // lucky/unlucky shuffle (the paper's protocol, one audit, cannot be
       // re-drawn — ours can).
       val randSeeds = 1L to 5L
-      def randP(k: Int): Double = randSeeds.map { s =>
-        Metrics.precisionAtK(label(ModelAssertions.consistency(tracked, "rand", cfg.minTrackObs, seed = s)), scenes, k)
-      }.sum / randSeeds.size
+      val fixy = label(Fixy.rankMissingTracks(tracked, learned, cfg))
+      val maConf = label(ModelAssertions.consistency(tracked, "conf", cfg.minTrackObs))
+      val rand = randSeeds.map(s => label(ModelAssertions.consistency(tracked, "rand", cfg.minTrackObs, seed = s)))
+      try {
+        val fixyP = precision(fixy)
+        val maConfP = precision(maConf)
+        val randPs = rand.map(precision)
+        def randP(k: Int): Double = randPs.map(_(k)).sum / randSeeds.size
 
-      val rows = Seq(
-        Table3Row("FIXY", dataset, Metrics.precisionAtK(fixy, scenes, 10),
-          Metrics.precisionAtK(fixy, scenes, 5), Metrics.precisionAtK(fixy, scenes, 1)),
-        Table3Row("Ad-hoc MA (rand)", dataset, randP(10), randP(5), randP(1)),
-        Table3Row("Ad-hoc MA (conf)", dataset, Metrics.precisionAtK(maConf, scenes, 10),
-          Metrics.precisionAtK(maConf, scenes, 5), Metrics.precisionAtK(maConf, scenes, 1)),
-      )
-      val coverage = Metrics.sceneCoverageAtK(fixy, scenes, 10)
-      (rows, coverage)
+        val rows = Seq(
+          Table3Row("FIXY", dataset, fixyP(10), fixyP(5), fixyP(1)),
+          Table3Row("Ad-hoc MA (rand)", dataset, randP(10), randP(5), randP(1)),
+          Table3Row("Ad-hoc MA (conf)", dataset, maConfP(10), maConfP(5), maConfP(1)),
+        )
+        (rows, Metrics.sceneCoverageAtK(fixy, scenes, 10))
+      } finally (fixy +: maConf +: rand).foreach(_.unpersist())
     } finally tracked.unpersist()
   }
 

@@ -1,6 +1,6 @@
 package repro.core
 
-import org.apache.spark.sql.SparkSession
+import org.apache.spark.sql.{Dataset, SparkSession}
 
 import repro.SparkSpec
 import repro.perception.PerceptionData
@@ -64,13 +64,18 @@ class FixySpec extends SparkSpec {
     }
   }
 
-  // --- differential test: Spark scorer vs factor-graph reference (§4.3/§6) --
+  // --- differential tests: the per-scene scorer vs two references (§4.3/§6) --
+  // The driver-side factor graph over collected rows, and the independent
+  // DataFrame formulation in DataFrameReference.
 
   private def differential(useDistance: Boolean, useTrackLength: Boolean, invert: Boolean): Unit = {
     val spec = PerceptionData.internalTrain.copy(nScenes = 2, objectsPerScene = 8, ghostsPerScene = 4)
-    val tracked = Association.assignTracks(PerceptionData.observations(spec), cfg.assoc)
-    val sparkScores = Fixy.scoreTracks(tracked, learned, cfg, useDistance, useTrackLength, invert)
-      .select("trackId", "score").collect().map(r => r.getLong(0) -> r.getDouble(1)).toMap
+    val tracked = Association.assignTracks(PerceptionData.observations(spec), cfg.assoc).cache()
+    val columns = Seq("trackId", "score", "nObs", "nHuman", "nModel", "nFrames", "meanConf", "maxConf", "cls")
+    def byTrack(df: org.apache.spark.sql.DataFrame) =
+      df.select(columns.map(col): _*).collect().map(r => r.getLong(0) -> r).toMap
+    val sparkRows = byTrack(Fixy.scoreTracks(tracked, learned, cfg, useDistance, useTrackLength, invert))
+    val refRows = byTrack(DataFrameReference.scoreTracks(tracked, learned, cfg, useDistance, useTrackLength, invert))
 
     val rows = tracked.collect().toSeq
     val features = Fixy.driverFeatures(learned, cfg, useDistance, useTrackLength, invert)
@@ -78,10 +83,21 @@ class FixySpec extends SparkSpec {
       t.trackId -> FactorGraph.compileTrack(t, features).score
     }).toMap
 
-    assert(sparkScores.keySet == driverScores.keySet)
-    for ((tid, s) <- sparkScores) {
-      assert(math.abs(s - driverScores(tid)) < 1e-6, s"track $tid: spark=$s driver=${driverScores(tid)}")
+    assert(sparkRows.keySet == driverScores.keySet)
+    assert(sparkRows.keySet == refRows.keySet)
+    def close(a: Any, b: Any): Boolean = (a, b) match {
+      case (x: Double, y: Double) => math.abs(x - y) < 1e-6
+      case _                      => a == b
     }
+    for ((tid, r) <- sparkRows) {
+      val s = r.getDouble(1)
+      assert(math.abs(s - driverScores(tid)) < 1e-6, s"track $tid: spark=$s driver=${driverScores(tid)}")
+      val ref = refRows(tid)
+      columns.indices.foreach { i =>
+        assert(close(r.get(i), ref.get(i)), s"track $tid ${columns(i)}: spark=${r.get(i)} dataframe=${ref.get(i)}")
+      }
+    }
+    tracked.unpersist()
   }
 
   test("spark scorer matches factor-graph reference (missing-track feature set)") {
@@ -92,6 +108,55 @@ class FixySpec extends SparkSpec {
   }
   test("spark scorer matches factor-graph reference (volume+velocity only)") {
     differential(useDistance = false, useTrackLength = false, invert = false)
+  }
+  test("§8.3 bundle scores match the DataFrame reference (incoming transition only)") {
+    val spec = PerceptionData.missingObsSim.copy(nScenes = 2)
+    val tracked = Association.assignTracks(PerceptionData.observations(spec), cfg.assoc).cache()
+    def byBundle(df: org.apache.spark.sql.DataFrame) =
+      df.select("bundleId", "score", "rank", "trackId", "frame", "nObs", "cls").collect()
+        .map(r => r.getLong(0) -> r).toMap
+    val fixy = byBundle(Fixy.rankMissingObservations(tracked, learned, cfg))
+    val ref = byBundle(DataFrameReference.rankMissingObservations(tracked, learned, cfg))
+    assert(fixy.nonEmpty)
+    assert(fixy.keySet == ref.keySet)
+    for ((bid, r) <- fixy) {
+      val e = ref(bid)
+      assert(math.abs(r.getDouble(1) - e.getDouble(1)) < 1e-6, s"bundle $bid: fixy=${r.getDouble(1)} dataframe=${e.getDouble(1)}")
+      assert((2 until 7).forall(i => r.get(i) == e.get(i)), s"bundle $bid: fixy=$r dataframe=$e")
+    }
+    tracked.unpersist()
+  }
+
+  // --- metamorphic: rankings ignore row order and shuffle partitioning -----
+
+  test("rankings are unchanged by input row order and shuffle partition count") {
+    import ss.implicits._
+    def rows(df: org.apache.spark.sql.DataFrame, id: String): Seq[(Long, Long, Int, Double)] =
+      df.select(col("scene"), col(id), col("rank"), col("score")).as[(Long, Long, Int, Double)].collect().toSeq.sorted
+    def withPartitions[A](n: Int)(body: => A): A = {
+      val before = ss.conf.get("spark.sql.shuffle.partitions")
+      ss.conf.set("spark.sql.shuffle.partitions", n.toString)
+      try body finally ss.conf.set("spark.sql.shuffle.partitions", before)
+    }
+    def assoc(spec: repro.perception.DatasetSpec, modelOnly: Boolean) = {
+      val obs = PerceptionData.observations(spec)
+      Association.assignTracks(if (modelOnly) obs.filter(_.source == Sources.Model) else obs, cfg.assoc).cache()
+    }
+    val missing = assoc(PerceptionData.internalTrain.copy(nScenes = 2, pMissingTrack = 0.3), modelOnly = false)
+    val missingObs = assoc(PerceptionData.missingObsSim.copy(nScenes = 2), modelOnly = false)
+    val modelErrors = assoc(PerceptionData.modelErrorSim.copy(nScenes = 2), modelOnly = true)
+    val rankers: Seq[(String, Dataset[TrackedObs], Dataset[TrackedObs] => Seq[(Long, Long, Int, Double)])] = Seq(
+      ("rankMissingTracks", missing, t => rows(Fixy.rankMissingTracks(t, learned, cfg), "trackId")),
+      ("rankMissingObservations", missingObs, t => rows(Fixy.rankMissingObservations(t, learned, cfg), "bundleId")),
+      ("rankModelErrors", modelErrors, t => rows(Fixy.rankModelErrors(t, learned, cfg), "trackId")),
+    )
+    for ((name, tracked, rank) <- rankers) {
+      val base = withPartitions(64)(rank(tracked))
+      assert(base.nonEmpty, name)
+      assert(rank(tracked.orderBy(rand(7))) == base, s"$name: shuffled input rows")
+      assert(withPartitions(1)(rank(tracked)) == base, s"$name: 1 vs 64 shuffle partitions")
+      tracked.unpersist()
+    }
   }
 
   // --- application 1: missing tracks (§8.2) ---------------------------------
