@@ -4,7 +4,7 @@ import org.apache.spark.sql.{DataFrame, Dataset, SparkSession}
 import org.apache.spark.sql.expressions.Window
 import org.apache.spark.sql.functions._
 
-import repro.core.{Sources, TrackedObs}
+import repro.core.{Loa, Sources, TrackedObs}
 
 /** The ad-hoc model assertions of Kang et al. (MLSys 2020) used as baselines
   * in §8.2/§8.4: black-box predicates over associated observations with
@@ -45,39 +45,41 @@ object ModelAssertions {
   }
 
   /** §8.4 "appear": an observation should have observations in nearby
-    * timestamps — flags tracks with ≤ `minObs` observations (2 in Kang et
-    * al.; a stricter setting also catches slightly longer detection
-    * fragments).
+    * timestamps — flags tracks with ≤ `minObs` observations (2 in Kang et al.;
+    * a stricter setting also catches slightly longer detection fragments).
     */
-  def appearFlagged(tracked: Dataset[TrackedObs], minObs: Int = 2)(implicit spark: SparkSession): Seq[Long] =
-    tracked.toDF()
-      .groupBy("trackId").agg(count(lit(1)).as("nObs"))
-      .where(col("nObs") <= minObs)
-      .select("trackId").collect().map(_.getLong(0)).toSeq
+  private def appears(minObs: Int)(t: Loa.Track): Boolean = t.nObs <= minObs
 
   /** §8.4 "flicker": a track should not appear and disappear rapidly — flags
-    * tracks whose frame sequence has gaps.
+    * tracks whose distinct frames do not fill their frame span.
     */
-  def flickerFlagged(tracked: Dataset[TrackedObs])(implicit spark: SparkSession): Seq[Long] = {
-    val frames = tracked.toDF().select("trackId", "frame").distinct()
-    frames
-      .groupBy("trackId")
-      .agg(min("frame").as("lo"), max("frame").as("hi"), count(lit(1)).as("n"))
-      .where(col("hi") - col("lo") + 1 > col("n"))
-      .select("trackId").collect().map(_.getLong(0)).toSeq
+  private def flickers(t: Loa.Track): Boolean = {
+    val frames = t.bundles.map(_.frame)
+    frames.last - frames.head + 1 > frames.distinct.size
   }
 
-  /** §8.4 "multibox": three boxes should not overlap — flags tracks containing
-    * a bundle with ≥ 3 model observations in one frame.
+  /** §8.4 "multibox": three boxes should not overlap — flags tracks with a
+    * bundle (one frame) of ≥ 3 model observations.
     */
-  def multiboxFlagged(tracked: Dataset[TrackedObs])(implicit spark: SparkSession): Seq[Long] =
-    tracked.toDF()
-      .where(col("source") === Sources.Model)
-      .groupBy("trackId", "bundleId", "frame").agg(count(lit(1)).as("n"))
-      .where(col("n") >= 3)
-      .select("trackId").distinct().collect().map(_.getLong(0)).toSeq
+  private def multibox(t: Loa.Track): Boolean = t.bundles.exists(_.obs.count(_.source == Sources.Model) >= 3)
 
-  /** Union of the three §8.4 assertions. */
+  /** Ascending ids of the tracks any of `assertions` flags: one task per scene. */
+  private def flagged(tracked: Dataset[TrackedObs], assertions: (Loa.Track => Boolean)*)(
+      implicit spark: SparkSession): Seq[Long] = {
+    import spark.implicits._
+    tracked.groupByKey(_.scene).flatMapGroups { (_, rows) =>
+      Loa.fromTracked(rows.toSeq).flatMap(_.tracks).filter(t => assertions.exists(_(t))).map(_.trackId)
+    }.collect().toSeq.sorted
+  }
+
+  def appearFlagged(tracked: Dataset[TrackedObs], minObs: Int = 2)(implicit spark: SparkSession): Seq[Long] =
+    flagged(tracked, appears(minObs))
+  def flickerFlagged(tracked: Dataset[TrackedObs])(implicit spark: SparkSession): Seq[Long] =
+    flagged(tracked, flickers)
+  def multiboxFlagged(tracked: Dataset[TrackedObs])(implicit spark: SparkSession): Seq[Long] =
+    flagged(tracked, multibox)
+
+  /** Union of the three §8.4 assertions, in one pass. */
   def allFlagged(tracked: Dataset[TrackedObs], appearMinObs: Int = 2)(implicit spark: SparkSession): Seq[Long] =
-    (appearFlagged(tracked, appearMinObs) ++ flickerFlagged(tracked) ++ multiboxFlagged(tracked)).distinct
+    flagged(tracked, appears(appearMinObs), flickers, multibox)
 }

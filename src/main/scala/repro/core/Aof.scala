@@ -3,7 +3,7 @@ package repro.core
 /** Application objective functions (§5.3): numeric transforms applied to a
   * feature distribution's likelihood before scoring. "The most common
   * operations are taking the inverse and setting the probability to 0/1 under
-  * certain conditions."
+  * certain conditions"; [[Fixy]] applies the 0/1 cases as track predicates.
   */
 sealed trait Aof extends Serializable {
   def apply(p: Double): Double
@@ -15,12 +15,4 @@ object Aof {
 
   /** Used when searching for *unlikely* tracks (e.g. erroneous model predictions, §7). */
   case object Invert extends Aof { def apply(p: Double): Double = 1.0 - p }
-
-  /** Hard filter: the element cannot be the sought error. */
-  case object Zero extends Aof { def apply(p: Double): Double = 0.0 }
-
-  /** Conditional zeroing, e.g. "zero out any track that contains a human proposal". */
-  final case class ZeroIf(cond: Double => Boolean, otherwise: Aof = Identity) extends Aof {
-    def apply(p: Double): Double = if (cond(p)) 0.0 else otherwise(p)
-  }
 }

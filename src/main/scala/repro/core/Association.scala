@@ -56,6 +56,8 @@ object Association {
     require(obs.map(_.scene).distinct.size == 1, "assignScene expects a single scene")
     val scene = obs.head.scene
     val n = obs.length
+    require(n <= SceneStride, // bundle and track ids are below n: keep them in the scene's id range
+      s"assignScene: scene $scene has $n observations, more than SceneStride = $SceneStride")
 
     // --- Bundling: union same-frame observations with IOU >= bundleIou. ---
     val byFrame = obs.indices.groupBy(i => obs(i).frame)
@@ -67,26 +69,13 @@ object Association {
       }
     }
     val bundleOfObs = ufObs.componentIds
-    val nBundles = if (n == 0) 0 else bundleOfObs.max + 1
+    val nBundles = bundleOfObs.max + 1
 
-    // --- Representative box per bundle: member-box average (centroid box). ---
+    // --- Representative box per bundle: the centroid of its member boxes. ---
     val bundleMembers = Array.fill(nBundles)(List.empty[Int])
     obs.indices.foreach(i => bundleMembers(bundleOfObs(i)) ::= i)
-    val bundleFrame = new Array[Int](nBundles)
-    val bundleBox = new Array[Box](nBundles)
-    for (b <- 0 until nBundles) {
-      val ms = bundleMembers(b)
-      bundleFrame(b) = obs(ms.head).frame
-      val k = ms.size.toDouble
-      bundleBox(b) = Box(
-        x = ms.map(obs(_).x).sum / k,
-        y = ms.map(obs(_).y).sum / k,
-        l = ms.map(obs(_).l).sum / k,
-        w = ms.map(obs(_).w).sum / k,
-        z = ms.map(obs(_).z).sum / k,
-        h = ms.map(obs(_).h).sum / k,
-      )
-    }
+    val bundleFrame = bundleMembers.map(ms => obs(ms.head).frame)
+    val bundleBox = bundleMembers.map(ms => Geometry.centroid(ms.map(obs(_).box)))
 
     // --- Tracking: greedily match each bundle to its best predecessor. ---
     val bundlesByFrame = (0 until nBundles).groupBy(bundleFrame)

@@ -26,20 +26,12 @@ object FactorGraph {
 
   /** A compiled graph over one track's observations. */
   final case class Compiled(obs: IndexedSeq[Obs], factors: Seq[Factor]) {
-    def nVariables: Int = obs.size
     def nFactors: Int = factors.size
-    def nEdges: Int = factors.map(_.memberObs.size).sum
 
     /** Eq. 2 score over the whole compiled component. */
-    def score: Double = scoreOf(factors)
-
-    /** Eq. 2 score over the factors touching a subset of observations. */
-    def scoreSubset(obsIdx: Set[Int]): Double =
-      scoreOf(factors.filter(_.memberObs.exists(obsIdx.contains)))
-
-    private def scoreOf(fs: Seq[Factor]): Double =
-      if (fs.isEmpty) math.log(Eps)
-      else fs.map(f => math.log(math.max(Eps, f.value))).sum / fs.size
+    def score: Double =
+      if (factors.isEmpty) math.log(Eps)
+      else factors.map(f => math.log(math.max(Eps, f.value))).sum / factors.size
   }
 
   /** Compile one track against a feature set (§4.3): one factor per
@@ -87,12 +79,4 @@ object FactorGraph {
       f.memberObs.exists(own.contains) && f.memberObs.forall(compiled.obs(_).frame <= frame)
     }).score
   }
-
-  /** Compile and score every track of a scene; returns (track, score) ranked
-    * descending (most plausible first under identity AOFs).
-    */
-  def rankTracks(scene: Scene, features: Seq[AppliedFeature]): Seq[(Track, Double)] =
-    scene.tracks
-      .map(t => t -> compileTrack(t, features).score)
-      .sortBy { case (t, s) => (-s, t.trackId) }
 }

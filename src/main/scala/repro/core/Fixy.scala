@@ -271,21 +271,14 @@ object Fixy {
       cfg: FixyConfig = FixyConfig(),
   )(implicit spark: SparkSession): DataFrame = {
     import spark.implicits._
-    tracked.groupByKey(_.scene).flatMapGroups { (scene, it) =>
-      val rows = it.toSeq
+    tracked.groupByKey(_.scene).flatMapGroups { (scene, rows) =>
       val features = driverFeatures(model, cfg)
-      // Loa.fromTracked orders each track's bundles by (frame, bundleId).
-      val bundleIds = rows.groupBy(_.trackId).map { case (tid, rs) =>
-        tid -> rs.map(r => (r.frame, r.bundleId)).distinct.sorted.map(_._2)
-      }
-      val candidates = Loa.fromTracked(rows).flatMap(_.tracks).filter(_.hasSource(Sources.Human)).flatMap { t =>
+      val candidates = Loa.fromTracked(rows.toSeq).flatMap(_.tracks).filter(_.hasSource(Sources.Human)).flatMap { t =>
         val humanFrames = t.allObs.filter(_.source == Sources.Human).map(_.frame).toSet
         lazy val compiled = FactorGraph.compileTrack(t, features)
-        t.bundles.indices.collect {
-          case k if !t.bundles(k).hasSource(Sources.Human) && !humanFrames(t.bundles(k).frame) =>
-            val b = t.bundles(k)
-            ScoredBundle(scene, t.trackId, bundleIds(t.trackId)(k), b.frame,
-              FactorGraph.scoreBundle(t, compiled, k), b.obs.size, b.cls, rank = 0)
+        t.bundles.zipWithIndex.collect {
+          case (b, k) if !b.hasSource(Sources.Human) && !humanFrames(b.frame) =>
+            ScoredBundle(scene, t.trackId, b.id, b.frame, FactorGraph.scoreBundle(t, compiled, k), b.obs.size, b.cls, 0)
         }
       }
       candidates.sortBy(b => (-b.score, b.bundleId)).zipWithIndex.map { case (b, i) => b.copy(rank = i + 1) }

@@ -42,4 +42,12 @@ object Geometry {
 
   /** Center-to-center BEV distance (m) — the basis of the velocity transition feature. */
   def centerDistance(a: Box, b: Box): Double = math.hypot(a.x - b.x, a.y - b.y)
+
+  /** Centroid (member-box average) box, the representative box of a bundle;
+    * each coordinate is summed in the order given.
+    */
+  def centroid(boxes: Seq[Box]): Box = {
+    def mean(f: Box => Double): Double = boxes.map(f).sum / boxes.size
+    Box(mean(_.x), mean(_.y), mean(_.l), mean(_.w), mean(_.z), mean(_.h))
+  }
 }

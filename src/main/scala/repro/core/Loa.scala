@@ -10,19 +10,14 @@ package repro.core
   */
 object Loa {
 
-  /** Observation bundle β: same-frame observations associated by IOU. */
-  final case class Bundle(frame: Int, obs: Seq[Obs]) {
+  /** Observation bundle β: same-frame observations associated by IOU. `id`
+    * is the association's bundle id.
+    */
+  final case class Bundle(id: Long, frame: Int, obs: Seq[Obs]) {
     /** Representative (centroid) box used for transitions and tracking;
       * computed once per bundle, as both of a bundle's transitions read it.
       */
-    lazy val representative: Box = {
-      val k = obs.size.toDouble
-      Box(
-        obs.map(_.x).sum / k, obs.map(_.y).sum / k,
-        obs.map(_.l).sum / k, obs.map(_.w).sum / k,
-        obs.map(_.z).sum / k, obs.map(_.h).sum / k,
-      )
-    }
+    lazy val representative: Box = Geometry.centroid(obs.map(_.box))
     def hasSource(s: String): Boolean = obs.exists(_.source == s)
     /** Class representative: the smallest member class, so a bundle whose
       * sources disagree on the class still gets one deterministic class.
@@ -35,20 +30,19 @@ object Loa {
     def allObs: Seq[Obs] = bundles.flatMap(_.obs)
     def nObs: Int = allObs.size
     def hasSource(s: String): Boolean = allObs.exists(_.source == s)
-    /** Majority class over member observations (ties broken lexicographically). */
-    def majorityClass: String =
-      allObs.groupBy(_.cls).toSeq.map { case (c, os) => (os.size, c) }.sortBy(t => (-t._1, t._2)).head._2
   }
 
   /** Scene s: a set of tracks. */
   final case class Scene(scene: Long, tracks: Seq[Track])
 
-  /** Rebuild the LOA object model from association output. */
+  /** Rebuild the LOA object model from association output: scenes and tracks
+    * in id order, each track's bundles in (frame, bundle id) order.
+    */
   def fromTracked(rows: Seq[TrackedObs]): Seq[Scene] =
     rows.groupBy(_.scene).toSeq.sortBy(_._1).map { case (sceneId, sceneRows) =>
       val tracks = sceneRows.groupBy(_.trackId).toSeq.sortBy(_._1).map { case (tid, trackRows) =>
         val bundles = trackRows.groupBy(_.bundleId).toSeq.sortBy { case (bid, rs) => (rs.head.frame, bid) }
-          .map { case (_, rs) => Bundle(rs.head.frame, rs.sortBy(o => (o.source, o.trueId, o.x)).map(_.toObs)) }
+          .map { case (bid, rs) => Bundle(bid, rs.head.frame, rs.sortBy(o => (o.source, o.trueId, o.x)).map(_.toObs)) }
         Track(tid, bundles)
       }
       Scene(sceneId, tracks)

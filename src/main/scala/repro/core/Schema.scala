@@ -5,9 +5,9 @@ package repro.core
   * observation source at one frame of one scene.
   *
   * `trueId` is generator ground truth (positive = real object id, negative =
-  * ghost/novel-error id). It is carried through the pipeline but read ONLY by
-  * the evaluation code (`repro.eval.Metrics`) — never by Fixy or the baselines
-  * — mirroring the paper's setup where precision is judged by a human auditor.
+  * ghost/novel-error id). Only the evaluation code (`repro.eval.Metrics`), the
+  * paper's human auditor, judges by it; association and `Loa.fromTracked` use
+  * it only as a sort key that fixes the order of ids.
   */
 final case class Obs(
     scene: Long,
@@ -48,9 +48,6 @@ final case class TrackedObs(
     bundleId: Long,
     trackId: Long,
 ) {
-  def box: Box = Box(x, y, l, w, z, h)
-  def volume: Double = l * w * h
-  def distanceToAv: Double = math.hypot(x, y)
   def toObs: Obs = Obs(scene, frame, source, trueId, cls, x, y, z, l, w, h, conf)
 }
 

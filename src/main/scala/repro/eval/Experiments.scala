@@ -106,22 +106,23 @@ object Experiments {
       val ranked = Fixy.rankMissingObservations(tracked, learned, cfg)
         .withColumn("grank", row_number().over(Window.orderBy(desc("score"), col("bundleId"))))
         .cache()
+      try {
+        // The single "good" injected missing observation: its object id and frame.
+        val good = truth.toDF().where(col("missingObsKind") === "good")
+          .select("trueId", "missingObsFrames").collect()
+        require(good.length == 1, s"expected exactly one good injected missing obs, got ${good.length}")
+        val goodId = good(0).getLong(0)
+        val goodFrame = good(0).getSeq[Int](1).head
 
-      // The single "good" injected missing observation: its object id and frame.
-      val good = truth.toDF().where(col("missingObsKind") === "good")
-        .select("trueId", "missingObsFrames").collect()
-      require(good.length == 1, s"expected exactly one good injected missing obs, got ${good.length}")
-      val goodId = good(0).getLong(0)
-      val goodFrame = good(0).getSeq[Int](1).head
-
-      // Bundle majority id: the candidate bundle is model-only, so every obs
-      // in it carries the object's trueId.
-      val bundleMaj = tracked.toDF().groupBy("bundleId").agg(min("trueId").as("bTrueId"))
-      val goodRanked = ranked.join(bundleMaj, Seq("bundleId"))
-        .where(col("bTrueId") === goodId && col("frame") === goodFrame)
-        .select("grank").collect()
-      require(goodRanked.nonEmpty, "good missing observation did not survive as a candidate bundle")
-      MissingObsResult(goodRanked.map(_.getInt(0).toLong).min, ranked.count())
+        // Bundle majority id: the candidate bundle is model-only, so every obs
+        // in it carries the object's trueId.
+        val bundleMaj = tracked.toDF().groupBy("bundleId").agg(min("trueId").as("bTrueId"))
+        val goodRanked = ranked.join(bundleMaj, Seq("bundleId"))
+          .where(col("bTrueId") === goodId && col("frame") === goodFrame)
+          .select("grank").collect()
+        require(goodRanked.nonEmpty, "good missing observation did not survive as a candidate bundle")
+        MissingObsResult(goodRanked.map(_.getInt(0).toLong).min, ranked.count())
+      } finally ranked.unpersist()
     } finally tracked.unpersist()
   }
 
@@ -131,7 +132,6 @@ object Experiments {
     * true-positive proposals (paper: errors with confidence as high as 95%).
     */
   def modelErrorsExperiment(implicit spark: SparkSession): ModelErrorsResult = {
-    import spark.implicits._
     val cfg = FixyConfig()
     val spec = PerceptionData.modelErrorSim
     val learned = Fixy.learn(PerceptionData.observations(PerceptionData.internalTrain), cfg)
@@ -144,19 +144,21 @@ object Experiments {
       val flagged = ModelAssertions.allFlagged(tracked, appearMinObs = 4)
       val fixy = Metrics.labelModelErrorProposals(
         Fixy.rankModelErrors(tracked, learned, cfg, excludedTrackIds = flagged), tracked).cache()
-      val unc = Metrics.labelModelErrorProposals(Uncertainty.rankTracks(tracked), tracked)
+      try {
+        val unc = Metrics.labelModelErrorProposals(Uncertainty.rankTracks(tracked), tracked)
 
-      def globalP10(labeled: org.apache.spark.sql.DataFrame): Double = {
-        val top = labeled.where(col("rank") <= 10)
-        val n = top.count()
-        if (n == 0) 0.0 else top.where(col("isError")).count().toDouble / math.min(10L, n)
-      }
-      val maxConf = fixy.where(col("rank") <= 10 && col("isError"))
-        .agg(max("maxConf")).collect()(0) match {
-        case r if r.isNullAt(0) => 0.0
-        case r                  => r.getDouble(0)
-      }
-      ModelErrorsResult(globalP10(fixy), globalP10(unc), maxConf)
+        def globalP10(labeled: DataFrame): Double = {
+          val top = labeled.where(col("rank") <= 10)
+          val n = top.count()
+          if (n == 0) 0.0 else top.where(col("isError")).count().toDouble / math.min(10L, n)
+        }
+        val maxConf = fixy.where(col("rank") <= 10 && col("isError"))
+          .agg(max("maxConf")).collect()(0) match {
+          case r if r.isNullAt(0) => 0.0
+          case r                  => r.getDouble(0)
+        }
+        ModelErrorsResult(globalP10(fixy), globalP10(unc), maxConf)
+      } finally fixy.unpersist()
     } finally tracked.unpersist()
   }
 }

@@ -7,7 +7,7 @@ import org.apache.spark.sql.functions._
 import repro.core.TrackedObs
 import repro.perception.TruthRow
 
-/** Evaluation metrics. This is the only code that reads generator ground
+/** Evaluation metrics. This is the only code that judges by generator ground
   * truth (`trueId` / [[TruthRow]]) — it plays the role of the paper's human
   * auditor judging the top-k proposals.
   */

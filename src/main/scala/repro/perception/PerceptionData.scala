@@ -59,7 +59,15 @@ final case class DatasetSpec(
     confNoise: Double = 0.05,
     /** Probability an object is only briefly visible (occlusion). */
     pShortVis: Double = 0.08,
-)
+) {
+  import PerceptionData.{ForcedBase, GhostBase, IdStride, NovelBase}
+  private def fits(field: String, n: Int, max: Long): Unit =
+    require(n <= max, s"$field = $n exceeds $max: its ids would leave their per-scene id band")
+  fits("objectsPerScene", objectsPerScene, ForcedBase)
+  fits("forcedMissingScene0.size", forcedMissingScene0.size, IdStride - ForcedBase - 1)
+  fits("ghostsPerScene", ghostsPerScene, NovelBase - GhostBase)
+  fits("novelErrorsPerScene", novelErrorsPerScene, IdStride - NovelBase)
+}
 
 /** Ground truth emitted alongside the observations; read only by evaluation
   * code. `kind` is "object" (real), "ghost" (spurious model track) or
@@ -86,8 +94,14 @@ final case class TruthRow(
   */
 object PerceptionData {
 
-  /** Per-scene id space; ids are scene * IdStride + local. */
+  /** Per-scene id space; ids are scene * IdStride + local, with one band of
+    * local ids per kind: objects from 1, forced missing tracks after
+    * ForcedBase, and (negated) ghosts and novel errors from their bases.
+    */
   val IdStride = 100000L
+  val ForcedBase = 10000L
+  val GhostBase = 1000L
+  val NovelBase = 50000L
 
   /** Class-conditional geometry and motion parameters (meters, m/s). Speeds
     * are clamped to `speedMax` so consecutive-frame boxes keep IOU above the
@@ -176,7 +190,7 @@ object PerceptionData {
         val len = math.min(fm.visLen, nF)
         val start = if (len >= nF) 0 else rng.nextInt(nF - len + 1)
         objects :+= ObjState(
-          sceneIdx * IdStride + 10000 + j + 1, fm.cls, l, w, h,
+          sceneIdx * IdStride + ForcedBase + j + 1, fm.cls, l, w, h,
           fm.dist * math.cos(th), fm.dist * math.sin(th),
           speed * math.cos(phi), speed * math.sin(phi),
           start, start + len, missingTrack = true, Set.empty, "none", Set.empty)
@@ -190,7 +204,7 @@ object PerceptionData {
     val nBad = spec.badMissingObsPerScene
     if (nGood + nBad > 0) {
       val eligible = objects.zipWithIndex.filter { case (o, _) =>
-        !o.missingTrack && o.visStart == 0 && o.visEnd == nF && o.distAt0 < 45.0
+        !o.missingTrack && o.visStart == 0 && o.visEnd == nF && math.hypot(o.x0, o.y0) < 45.0
       }
       eligible.take(nGood + nBad).zipWithIndex.foreach { case ((o, idx), k) =>
         val frame = nF / 2 + rng.nextInt(5)
@@ -244,7 +258,7 @@ object PerceptionData {
     // --- Ghost tracks -------------------------------------------------------
     var ghostTruth = Vector.empty[TruthRow]
     for (g <- 0 until spec.ghostsPerScene) {
-      val id = -(sceneIdx * IdStride + 1000 + g)
+      val id = -(sceneIdx * IdStride + GhostBase + g)
       val subtype =
         if (spec.maGhostMix) Seq("normal", "flicker", "appear", "multibox")(g % 4)
         else if (rng.nextDouble() < 0.15) "appear"
@@ -293,7 +307,7 @@ object PerceptionData {
     // --- §8.4 novel errors: consistent-but-wrong model tracks ---------------
     var novelTruth = Vector.empty[TruthRow]
     for (j <- 0 until spec.novelErrorsPerScene) {
-      val id = -(sceneIdx * IdStride + 50000 + j)
+      val id = -(sceneIdx * IdStride + NovelBase + j)
       val tpe = Seq("wrongcls", "voldrift", "jittervel")(j % 3)
       val len = 8 + rng.nextInt(8)
       val start = rng.nextInt(math.max(1, nF - len))
@@ -342,10 +356,6 @@ object PerceptionData {
         o.visEnd - o.visStart, math.hypot(o.x0, o.y0))
     }
     (objTruth ++ ghostTruth ++ novelTruth, obsOut.result())
-  }
-
-  private implicit class ObjStateOps(private val o: ObjState) extends AnyVal {
-    def distAt0: Double = math.hypot(o.x0, o.y0)
   }
 
   // --------------------------------------------------------------------------

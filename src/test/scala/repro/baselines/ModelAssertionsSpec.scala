@@ -5,10 +5,10 @@ import org.apache.spark.sql.SparkSession
 import repro.SparkSpec
 import repro.core._
 import repro.core.TestObs.movingTrack
+import repro.perception.PerceptionData
 
 class ModelAssertionsSpec extends SparkSpec {
   implicit private lazy val ss: SparkSession = spark
-  import org.apache.spark.sql.functions._
 
   private def toDs(os: Seq[Obs]) = {
     import ss.implicits._
@@ -101,14 +101,23 @@ class ModelAssertionsSpec extends SparkSpec {
     assert(all.size == all.distinct.size)
     assert(all.size == 2)
   }
+  test("the 8.4 assertion sets on the full model-error preset are pinned") {
+    val modelObs = PerceptionData.observations(PerceptionData.modelErrorSim).filter(_.source == Sources.Model)
+    val t = Association.assignTracks(modelObs).cache()
+    assert(ModelAssertions.appearFlagged(t, minObs = 4).size == 326)
+    assert(ModelAssertions.flickerFlagged(t).size == 332)
+    assert(ModelAssertions.multiboxFlagged(t).size == 18)
+    val all = ModelAssertions.allFlagged(t, appearMinObs = 4)
+    assert(all.size == 582 && all.distinct.size == 582)
+    t.unpersist()
+  }
   test("ma ghosts in the 8.4 preset are flagged, novel errors are not") {
-    import ss.implicits._
-    val spec = repro.perception.PerceptionData.modelErrorSim.copy(nScenes = 2)
-    val modelObs = repro.perception.PerceptionData.observations(spec).filter(_.source == Sources.Model)
+    val spec = PerceptionData.modelErrorSim.copy(nScenes = 2)
+    val modelObs = PerceptionData.observations(spec).filter(_.source == Sources.Model)
     val t = Association.assignTracks(modelObs).cache()
     val flagged = ModelAssertions.allFlagged(t).toSet
     val rows = t.collect()
-    val novelTracks = rows.filter(o => o.trueId < 0 && -o.trueId % repro.perception.PerceptionData.IdStride >= 50000)
+    val novelTracks = rows.filter(o => o.trueId < 0 && -o.trueId % PerceptionData.IdStride >= 50000)
       .groupBy(_.trackId)
       // only tracks that are purely novel-error observations
       .collect { case (tid, os) if rows.filter(_.trackId == tid).forall(o => os.map(_.trueId).contains(o.trueId)) => tid }

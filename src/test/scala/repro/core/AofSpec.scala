@@ -14,19 +14,6 @@ class AofSpec extends AnyFunSuite {
   test("invert is its own inverse") {
     for (p <- Seq(0.1, 0.5, 0.9)) assert(math.abs(Aof.Invert(Aof.Invert(p)) - p) < 1e-12)
   }
-  test("zero always returns 0") {
-    for (p <- Seq(0.0, 0.5, 1.0)) assert(Aof.Zero(p) === 0.0)
-  }
-  test("zeroIf zeroes matching inputs") {
-    val aof = Aof.ZeroIf(_ > 0.5)
-    assert(aof(0.7) === 0.0)
-    assert(aof(0.3) === 0.3)
-  }
-  test("zeroIf composes with invert for non-matching inputs") {
-    val aof = Aof.ZeroIf(_ < 0.1, otherwise = Aof.Invert)
-    assert(aof(0.05) === 0.0)
-    assert(math.abs(aof(0.4) - 0.6) < 1e-12)
-  }
   test("aofs are serializable") {
     val bos = new java.io.ByteArrayOutputStream()
     new java.io.ObjectOutputStream(bos).writeObject(Aof.Invert)

@@ -13,6 +13,16 @@ class AssociationPureSpec extends AnyFunSuite {
     assertThrows[IllegalArgumentException](
       Association.assignScene(Seq(obs(scene = 0), obs(scene = 1))))
   }
+  test("a scene of SceneStride observations keeps its ids inside the scene's range") {
+    val n = Association.SceneStride.toInt
+    val out = Association.assignScene((0 until n).map(f => obs(scene = 1, frame = f)))
+    assert(out.map(_.bundleId).max == 2 * Association.SceneStride - 1)
+  }
+  test("a scene of more than SceneStride observations is rejected") {
+    val e = intercept[IllegalArgumentException](
+      Association.assignScene(Seq.fill(Association.SceneStride.toInt + 1)(obs())))
+    assert(e.getMessage.contains("SceneStride"))
+  }
   test("a single observation forms its own bundle and track") {
     val out = Association.assignScene(Seq(obs()))
     assert(out.size == 1)

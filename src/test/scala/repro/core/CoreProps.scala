@@ -1,6 +1,6 @@
 package repro.core
 
-import org.scalacheck.{Gen, Prop, Properties}
+import org.scalacheck.{Gen, Properties}
 import org.scalacheck.Prop.forAll
 
 /** ScalaCheck property suites over the pure substrate. */

@@ -1,9 +1,9 @@
 package repro.core
 
-import org.apache.spark.sql.{Dataset, SparkSession}
+import org.apache.spark.sql.{DataFrame, Dataset, SparkSession}
 
 import repro.SparkSpec
-import repro.perception.PerceptionData
+import repro.perception.{DatasetSpec, PerceptionData}
 import TestObs.movingTrack
 
 class FixySpec extends SparkSpec {
@@ -72,7 +72,7 @@ class FixySpec extends SparkSpec {
     val spec = PerceptionData.internalTrain.copy(nScenes = 2, objectsPerScene = 8, ghostsPerScene = 4)
     val tracked = Association.assignTracks(PerceptionData.observations(spec), cfg.assoc).cache()
     val columns = Seq("trackId", "score", "nObs", "nHuman", "nModel", "nFrames", "meanConf", "maxConf", "cls")
-    def byTrack(df: org.apache.spark.sql.DataFrame) =
+    def byTrack(df: DataFrame) =
       df.select(columns.map(col): _*).collect().map(r => r.getLong(0) -> r).toMap
     val sparkRows = byTrack(Fixy.scoreTracks(tracked, learned, cfg, useDistance, useTrackLength, invert))
     val refRows = byTrack(DataFrameReference.scoreTracks(tracked, learned, cfg, useDistance, useTrackLength, invert))
@@ -112,7 +112,7 @@ class FixySpec extends SparkSpec {
   test("§8.3 bundle scores match the DataFrame reference (incoming transition only)") {
     val spec = PerceptionData.missingObsSim.copy(nScenes = 2)
     val tracked = Association.assignTracks(PerceptionData.observations(spec), cfg.assoc).cache()
-    def byBundle(df: org.apache.spark.sql.DataFrame) =
+    def byBundle(df: DataFrame) =
       df.select("bundleId", "score", "rank", "trackId", "frame", "nObs", "cls").collect()
         .map(r => r.getLong(0) -> r).toMap
     val fixy = byBundle(Fixy.rankMissingObservations(tracked, learned, cfg))
@@ -127,35 +127,46 @@ class FixySpec extends SparkSpec {
     tracked.unpersist()
   }
 
-  // --- metamorphic: rankings ignore row order and shuffle partitioning -----
+  // --- metamorphic: rankings ignore row order, shuffle partitioning and scene ids
 
   test("rankings are unchanged by input row order and shuffle partition count") {
     import ss.implicits._
-    def rows(df: org.apache.spark.sql.DataFrame, id: String): Seq[(Long, Long, Int, Double)] =
+    type Ranked = (Long, Long, Int, Double) // (scene, track or bundle id, rank, score)
+    def rows(df: DataFrame, id: String): Seq[Ranked] =
       df.select(col("scene"), col(id), col("rank"), col("score")).as[(Long, Long, Int, Double)].collect().toSeq.sorted
     def withPartitions[A](n: Int)(body: => A): A = {
       val before = ss.conf.get("spark.sql.shuffle.partitions")
       ss.conf.set("spark.sql.shuffle.partitions", n.toString)
       try body finally ss.conf.set("spark.sql.shuffle.partitions", before)
     }
-    def assoc(spec: repro.perception.DatasetSpec, modelOnly: Boolean) = {
-      val obs = PerceptionData.observations(spec)
-      Association.assignTracks(if (modelOnly) obs.filter(_.source == Sources.Model) else obs, cfg.assoc).cache()
+    def relabel(scene: Long): Long = 3 * scene + 7
+    def assoc(spec: DatasetSpec, modelOnly: Boolean, scene: Long => Long) = {
+      val obs = PerceptionData.observations(spec).filter(o => !modelOnly || o.source == Sources.Model)
+      Association.assignTracks(obs.map(o => o.copy(scene = scene(o.scene))), cfg.assoc).cache()
     }
-    val missing = assoc(PerceptionData.internalTrain.copy(nScenes = 2, pMissingTrack = 0.3), modelOnly = false)
-    val missingObs = assoc(PerceptionData.missingObsSim.copy(nScenes = 2), modelOnly = false)
-    val modelErrors = assoc(PerceptionData.modelErrorSim.copy(nScenes = 2), modelOnly = true)
-    val rankers: Seq[(String, Dataset[TrackedObs], Dataset[TrackedObs] => Seq[(Long, Long, Int, Double)])] = Seq(
-      ("rankMissingTracks", missing, t => rows(Fixy.rankMissingTracks(t, learned, cfg), "trackId")),
-      ("rankMissingObservations", missingObs, t => rows(Fixy.rankMissingObservations(t, learned, cfg), "bundleId")),
-      ("rankModelErrors", modelErrors, t => rows(Fixy.rankModelErrors(t, learned, cfg), "trackId")),
+    // Scene-local ids: association packs the scene id above SceneStride.
+    def local(rs: Seq[Ranked]): Seq[Ranked] =
+      rs.map { case (s, id, rank, score) => (s, id % Association.SceneStride, rank, score) }.sorted
+    val rankers: Seq[(String, DatasetSpec, Boolean, String, Dataset[TrackedObs] => DataFrame)] = Seq(
+      ("rankMissingTracks", PerceptionData.internalTrain.copy(nScenes = 2, pMissingTrack = 0.3), false, "trackId",
+        Fixy.rankMissingTracks(_, learned, cfg)),
+      ("rankMissingObservations", PerceptionData.missingObsSim.copy(nScenes = 2), false, "bundleId",
+        Fixy.rankMissingObservations(_, learned, cfg)),
+      ("rankModelErrors", PerceptionData.modelErrorSim.copy(nScenes = 2), true, "trackId",
+        Fixy.rankModelErrors(_, learned, cfg)),
     )
-    for ((name, tracked, rank) <- rankers) {
+    for ((name, spec, modelOnly, id, ranker) <- rankers) {
+      def rank(t: Dataset[TrackedObs]): Seq[Ranked] = rows(ranker(t), id)
+      val tracked = assoc(spec, modelOnly, identity)
+      val relabelled = assoc(spec, modelOnly, relabel)
       val base = withPartitions(64)(rank(tracked))
       assert(base.nonEmpty, name)
       assert(rank(tracked.orderBy(rand(7))) == base, s"$name: shuffled input rows")
       assert(withPartitions(1)(rank(tracked)) == base, s"$name: 1 vs 64 shuffle partitions")
+      assert(local(rank(relabelled)) == local(base.map { case (s, i, r, sc) => (relabel(s), i, r, sc) }),
+        s"$name: scene ids relabelled s -> 3s + 7")
       tracked.unpersist()
+      relabelled.unpersist()
     }
   }
 
@@ -259,7 +270,6 @@ class FixySpec extends SparkSpec {
   }
   test("model-error ranking is global (one list across scenes)") {
     val spec = PerceptionData.modelErrorSim.copy(nScenes = 2)
-    import ss.implicits._
     val modelObs = PerceptionData.observations(spec).filter(_.source == Sources.Model)
     val tracked = Association.assignTracks(modelObs, cfg.assoc)
     val ranked = Fixy.rankModelErrors(tracked, learned, cfg).collect()

@@ -81,6 +81,9 @@ class GeometrySpec extends AnyFunSuite {
   test("area is l*w") {
     assert(math.abs(Box(1, 2, 3, 4).area - 12.0) < 1e-12)
   }
+  test("centroid averages each coordinate of its boxes") {
+    assert(Geometry.centroid(Seq(Box(0, 0, 2, 1, 0, 1), Box(2, 4, 4, 3, 1, 3))) == Box(1, 2, 3, 2, 0.5, 2))
+  }
   test("distanceToAv is the hypotenuse") {
     assert(math.abs(Box(3, 4, 1, 1).distanceToAv - 5.0) < 1e-12)
   }

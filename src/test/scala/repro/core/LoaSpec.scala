@@ -19,6 +19,11 @@ class LoaSpec extends AnyFunSuite {
     val ss = Loa.fromTracked(tracked)
     assert(ss.map(_.scene) == Seq(0L, 1L))
   }
+  test("fromTracked carries each bundle's association id") {
+    val tracked = Association.assignScene(movingTrack(4))
+    val t = Loa.fromTracked(tracked).head.tracks.head
+    assert(t.bundles.map(b => (b.frame, b.id)) == tracked.map(r => (r.frame, r.bundleId)).distinct.sorted)
+  }
   test("bundles are ordered by frame within a track") {
     val t = scenes(movingTrack(6)).head.tracks.head
     assert(t.bundles.map(_.frame) == (0 until 6))
@@ -32,35 +37,23 @@ class LoaSpec extends AnyFunSuite {
     val t = scenes(human).head.tracks.head
     assert(t.hasSource(Sources.Human) && !t.hasSource(Sources.Model))
   }
-  test("majorityClass picks the most frequent class") {
-    val os = Seq(
-      obs(frame = 0, cls = Classes.Car),
-      obs(frame = 1, cls = Classes.Car, x = 1),
-      obs(frame = 2, cls = Classes.Truck, x = 2))
-    val t = scenes(os).head.tracks.head
-    assert(t.majorityClass == Classes.Car)
-  }
-  test("majorityClass breaks ties lexicographically") {
-    val os = Seq(obs(frame = 0, cls = Classes.Truck), obs(frame = 1, cls = Classes.Car, x = 1))
-    assert(scenes(os).head.tracks.head.majorityClass == Classes.Car)
-  }
   test("bundle representative is the member centroid") {
-    val b = Loa.Bundle(0, Seq(obs(x = 0, y = 0), obs(x = 2, y = 4, trueId = 2)))
+    val b = Loa.Bundle(0, 0, Seq(obs(x = 0, y = 0), obs(x = 2, y = 4, trueId = 2)))
     val r = b.representative
     assert(r.x === 1.0 && r.y === 2.0)
   }
   test("transitionSpeed computes center displacement times fps") {
-    val b0 = Loa.Bundle(0, Seq(obs(frame = 0, x = 0)))
-    val b1 = Loa.Bundle(1, Seq(obs(frame = 1, x = 2)))
+    val b0 = Loa.Bundle(0, 0, Seq(obs(frame = 0, x = 0)))
+    val b1 = Loa.Bundle(1, 1, Seq(obs(frame = 1, x = 2)))
     assert(math.abs(Loa.transitionSpeed(b0, b1, 5.0).get - 10.0) < 1e-9)
   }
   test("transitionSpeed spans gaps by dividing by the frame delta") {
-    val b0 = Loa.Bundle(0, Seq(obs(frame = 0, x = 0)))
-    val b2 = Loa.Bundle(2, Seq(obs(frame = 2, x = 2)))
+    val b0 = Loa.Bundle(0, 0, Seq(obs(frame = 0, x = 0)))
+    val b2 = Loa.Bundle(2, 2, Seq(obs(frame = 2, x = 2)))
     assert(math.abs(Loa.transitionSpeed(b0, b2, 5.0).get - 5.0) < 1e-9)
   }
   test("transitionSpeed is None for same-frame bundles") {
-    val b = Loa.Bundle(3, Seq(obs(frame = 3)))
+    val b = Loa.Bundle(3, 3, Seq(obs(frame = 3)))
     assert(Loa.transitionSpeed(b, b, 5.0).isEmpty)
   }
   test("a mixed human+model object yields bundles with both sources") {

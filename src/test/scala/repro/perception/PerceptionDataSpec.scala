@@ -11,6 +11,20 @@ class PerceptionDataSpec extends SparkSpec {
 
   private val tiny = PerceptionData.internalTrain.copy(nScenes = 2, objectsPerScene = 12, ghostsPerScene = 5)
 
+  // Each count's largest legal value fills its id band; one more overflows it.
+  private val forced = ForcedMissing(Classes.Car, 10, 20.0)
+  private val idBands: Seq[(String, Int, Int => DatasetSpec)] = Seq(
+    ("objectsPerScene", 10000, n => tiny.copy(objectsPerScene = n)),
+    ("forcedMissingScene0.size", 89999, n => tiny.copy(forcedMissingScene0 = Seq.fill(n)(forced))),
+    ("ghostsPerScene", 49000, n => tiny.copy(ghostsPerScene = n)),
+    ("novelErrorsPerScene", 50000, n => tiny.copy(novelErrorsPerScene = n)),
+  )
+  for ((field, max, spec) <- idBands) test(s"DatasetSpec accepts $field = $max and rejects ${max + 1}") {
+    spec(max) // accepted
+    val e = intercept[IllegalArgumentException](spec(max + 1))
+    assert(e.getMessage.contains(field), e.getMessage)
+  }
+
   test("generation is deterministic in (spec, scene)") {
     val (t1, o1) = PerceptionData.genScene(tiny, 0)
     val (t2, o2) = PerceptionData.genScene(tiny, 0)
