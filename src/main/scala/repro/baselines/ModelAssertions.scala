@@ -1,10 +1,9 @@
 package repro.baselines
 
 import org.apache.spark.sql.{DataFrame, Dataset, SparkSession}
-import org.apache.spark.sql.expressions.Window
-import org.apache.spark.sql.functions._
+import org.apache.spark.unsafe.hash.Murmur3_x86_32
 
-import repro.core.{Loa, Sources, TrackedObs}
+import repro.core.{Fixy, Loa, Sources, TrackedObs}
 
 /** The ad-hoc model assertions of Kang et al. (MLSys 2020) used as baselines
   * in §8.2/§8.4: black-box predicates over associated observations with
@@ -13,12 +12,12 @@ import repro.core.{Loa, Sources, TrackedObs}
 object ModelAssertions {
 
   /** §8.2 "consistency" assertion: a time-consistent model track with no
-    * human label is flagged as a potential missing label. Candidate set
-    * matches Fixy's (model-only tracks with ≥ `minObs` observations); the
-    * ad-hoc part is the severity ordering:
+    * human label is flagged as a potential missing label. It ranks Fixy's
+    * candidates ([[Fixy.isMissingTrackCandidate]]) in Fixy's per-scene pass;
+    * the ad-hoc part is the severity ordering:
     *  - `rand`: uniformly random severity with the given seed;
     *  - `conf`: mean model confidence, highest first.
-    * Adds `rank` (1-based, per scene).
+    * Columns: scene, trackId, nObs, nHuman, meanConf, cls, severity, per-scene `rank`.
     */
   def consistency(
       tracked: Dataset[TrackedObs],
@@ -26,23 +25,18 @@ object ModelAssertions {
       minObs: Int = 3,
       seed: Long = 0,
   )(implicit spark: SparkSession): DataFrame = {
-    val agg = tracked.toDF()
-      .groupBy("scene", "trackId")
-      .agg(
-        count(lit(1)).as("nObs"),
-        sum(when(col("source") === Sources.Human, 1).otherwise(0)).as("nHuman"),
-        avg(when(col("source") === Sources.Model, col("conf"))).as("meanConf"),
-        min("cls").as("cls"),
-      )
-      .where(col("nHuman") === 0 && col("nObs") >= minObs)
-    val severity = ordering match {
-      case "rand" => agg.withColumn("severity", abs(hash(col("trackId"), lit(seed))).cast("double"))
-      case "conf" => agg.withColumn("severity", col("meanConf"))
+    val severity: Loa.Track => Double = ordering match {
+      case "rand" => t => randSeverity(seed)(t.trackId)
+      case "conf" => _.meanConf.get // candidates are model-only, so they have a mean confidence
       case other  => throw new IllegalArgumentException(s"unknown ordering: $other")
     }
-    val w = Window.partitionBy("scene").orderBy(desc("severity"), col("trackId"))
-    severity.withColumn("rank", row_number().over(w))
+    Fixy.rankTracks(tracked, Fixy.isMissingTrackCandidate(minObs))(severity).withColumnRenamed("score", "severity")
+      .select("scene", "trackId", "nObs", "nHuman", "meanConf", "cls", "severity", "rank")
   }
+
+  /** The `rand` severity, bit for bit Spark's `abs(hash(trackId, seed))`. */
+  private[baselines] def randSeverity(seed: Long)(trackId: Long): Double =
+    math.abs(Murmur3_x86_32.hashLong(seed, Murmur3_x86_32.hashLong(trackId, 42))).toDouble
 
   /** §8.4 "appear": an observation should have observations in nearby
     * timestamps — flags tracks with ≤ `minObs` observations (2 in Kang et al.;
@@ -67,9 +61,7 @@ object ModelAssertions {
   private def flagged(tracked: Dataset[TrackedObs], assertions: (Loa.Track => Boolean)*)(
       implicit spark: SparkSession): Seq[Long] = {
     import spark.implicits._
-    tracked.groupByKey(_.scene).flatMapGroups { (_, rows) =>
-      Loa.fromTracked(rows.toSeq).flatMap(_.tracks).filter(t => assertions.exists(_(t))).map(_.trackId)
-    }.collect().toSeq.sorted
+    Fixy.perScene(tracked)((_, tracks) => tracks.filter(t => assertions.exists(_(t))).map(_.trackId)).collect().toSeq.sorted
   }
 
   def appearFlagged(tracked: Dataset[TrackedObs], minObs: Int = 2)(implicit spark: SparkSession): Seq[Long] =

@@ -1,10 +1,8 @@
 package repro.baselines
 
 import org.apache.spark.sql.{DataFrame, Dataset, SparkSession}
-import org.apache.spark.sql.expressions.Window
-import org.apache.spark.sql.functions._
 
-import repro.core.{Sources, TrackedObs}
+import repro.core.{Fixy, Sources, TrackedObs}
 
 /** Uncertainty sampling (§8.4 baseline): "we sampled predictions around a
   * confidence threshold" — tracks are ranked by how close their mean model
@@ -12,18 +10,14 @@ import repro.core.{Sources, TrackedObs}
   */
 object Uncertainty {
 
-  def rankTracks(
-      tracked: Dataset[TrackedObs],
-      threshold: Double = 0.5,
-      minObs: Int = 1,
-  )(implicit spark: SparkSession): DataFrame = {
-    val agg = tracked.toDF()
-      .where(col("source") === Sources.Model)
-      .groupBy("scene", "trackId")
-      .agg(count(lit(1)).as("nObs"), avg("conf").as("meanConf"), max("conf").as("maxConf"))
-      .where(col("nObs") >= minObs)
-      .withColumn("severity", -abs(col("meanConf") - lit(threshold)))
-    val w = Window.orderBy(desc("severity"), col("trackId"))
-    agg.withColumn("rank", row_number().over(w))
+  /** Severity −|meanConf − threshold|, ranked in Fixy's per-scene pass and
+    * then globally. Like [[Fixy.rankModelErrors]], it expects model
+    * observations only (`nObs` counts all of a track's observations).
+    * Columns: scene, trackId, nObs, meanConf, maxConf, severity, `rank`.
+    */
+  def rankTracks(tracked: Dataset[TrackedObs], threshold: Double = 0.5)(implicit spark: SparkSession): DataFrame = {
+    val ranked = Fixy.rankTracks(tracked, _.hasSource(Sources.Model))(t => -math.abs(t.meanConf.get - threshold))
+    Fixy.rankGlobally(ranked, "trackId").withColumnRenamed("score", "severity")
+      .select("scene", "trackId", "nObs", "meanConf", "maxConf", "severity", "rank")
   }
 }

@@ -45,7 +45,19 @@ object Association {
   /** Scene-local ids are packed below this; scene id is the high digits. */
   val SceneStride: Long = 1000000L
 
-  /** Assign bundle and track ids to one scene's observations.
+  /** Reject an observation the LOA model cannot score, naming the field. */
+  private def validate(o: Obs): Unit = {
+    def fail(field: String, v: Any, why: String): Nothing =
+      throw new IllegalArgumentException(s"assignScene: $field = $v $why (scene ${o.scene}, frame ${o.frame})")
+    def finite(field: String, v: Double): Unit = if (!v.isFinite) fail(field, v, "is not finite")
+    def size(field: String, v: Double): Unit = if (!(v.isFinite && v > 0)) fail(field, v, "is not a finite positive size")
+    finite("x", o.x); finite("y", o.y); finite("z", o.z)
+    size("l", o.l); size("w", o.w); size("h", o.h)
+    if (!(o.conf >= 0 && o.conf <= 1)) fail("conf", o.conf, "is outside [0, 1]") // NaN fails too
+    if (o.source != Sources.Human && o.source != Sources.Model) fail("source", o.source, "is not human or model")
+  }
+
+  /** Validate one scene's observations, then assign bundle and track ids.
     *
     * Output order and ids are deterministic: input is sorted by
     * (frame, source, trueId, x, y) before id assignment.
@@ -53,6 +65,7 @@ object Association {
   def assignScene(obsIn: Seq[Obs], cfg: Config = Config()): IndexedSeq[TrackedObs] = {
     val obs = obsIn.toIndexedSeq.sortBy(o => (o.frame, o.source, o.trueId, o.x, o.y))
     if (obs.isEmpty) return IndexedSeq.empty
+    obs.foreach(validate)
     require(obs.map(_.scene).distinct.size == 1, "assignScene expects a single scene")
     val scene = obs.head.scene
     val n = obs.length

@@ -1,6 +1,6 @@
 package repro.core
 
-import org.apache.spark.sql.{DataFrame, Dataset, SparkSession}
+import org.apache.spark.sql.{DataFrame, Dataset, Encoder, Encoders, SparkSession}
 import org.apache.spark.sql.expressions.Window
 import org.apache.spark.sql.functions.{col, desc, row_number}
 
@@ -47,10 +47,11 @@ final case class FixyConfig(
     minClassSamples: Int = 10,
 )
 
-/** One track scored by Eq. 2, with the per-track statistics the applications
-  * filter and report on: observation counts, distinct frames, mean and max
-  * model confidence (None without model observations) and the smallest member
-  * class. `rank` is 1-based within the scene.
+/** One ranked track: its ranking severity as `score` (Eq. 2 for Fixy), with
+  * the per-track statistics the applications filter and report on:
+  * observation counts, distinct frames, mean and max model confidence (None
+  * without model observations) and the smallest member class. `rank` is
+  * 1-based within the scene.
   */
 final case class ScoredTrack(
     scene: Long,
@@ -145,7 +146,7 @@ object Fixy {
   /** The paper's feature set (Table 2) as LOA applied features — the one
     * definition every scorer compiles into factor graphs. The "model only"
     * and "count" features are hard filters applied outside the score (see
-    * [[rankMissingTracks]]), so they do not appear here.
+    * [[isMissingTrackCandidate]]), so they do not appear here.
     */
   def driverFeatures(
       model: LearnedModel,
@@ -169,43 +170,40 @@ object Fixy {
   }
 
   // --------------------------------------------------------------------------
-  // Online phase: Eq. 2 over each track's compiled factor graph, one task per
-  // scene; filters and per-scene ranks are applied inside the task.
+  // Online phase: one task per scene rebuilds the scene's tracks; filters,
+  // severities and per-scene ranks are applied inside the task.
   // --------------------------------------------------------------------------
 
-  /** Score the tracks of every scene that pass `keep` (the application's hard
-    * filters) and rank them within their scene: highest score first, ties to
-    * the smaller track id.
+  /** One task per scene: `f` gets the scene id and its tracks in id order. */
+  private[repro] def perScene[T: Encoder](tracked: Dataset[TrackedObs])(f: (Long, Seq[Loa.Track]) => Seq[T]): Dataset[T] =
+    tracked.groupByKey(_.scene)(Encoders.scalaLong)
+      .flatMapGroups((scene, rows) => f(scene, Loa.fromTracked(rows.toSeq).flatMap(_.tracks)))
+
+  /** The one track-ranking pass: each scene's tracks that pass `keep` (the
+    * hard filters), with their statistics and `severity` as `score`, ranked
+    * within the scene: highest first, ties to the smaller track id. Fixy's
+    * severity is Eq. 2 ([[eq2]]); the baselines pass their ad-hoc ones.
     */
-  private def scoreScenes(
-      tracked: Dataset[TrackedObs],
-      model: LearnedModel,
-      cfg: FixyConfig,
-      useDistance: Boolean,
-      useTrackLength: Boolean,
-      invert: Boolean,
-  )(keep: Loa.Track => Boolean)(implicit spark: SparkSession): Dataset[ScoredTrack] = {
+  private[repro] def rankTracks(tracked: Dataset[TrackedObs], keep: Loa.Track => Boolean)(
+      severity: Loa.Track => Double)(implicit spark: SparkSession): Dataset[ScoredTrack] = {
     import spark.implicits._
-    tracked.groupByKey(_.scene).flatMapGroups { (scene, rows) =>
-      val features = driverFeatures(model, cfg, useDistance, useTrackLength, invert)
-      val scored = Loa.fromTracked(rows.toSeq).flatMap(_.tracks).filter(keep).map { t =>
+    perScene(tracked) { (scene, tracks) =>
+      tracks.filter(keep).map { t =>
         val obs = t.allObs
-        val conf = obs.filter(_.source == Sources.Model).map(_.conf)
-        ScoredTrack(
-          scene, t.trackId, FactorGraph.compileTrack(t, features).score,
-          nObs = obs.size,
-          nHuman = obs.count(_.source == Sources.Human),
-          nModel = conf.size,
-          nFrames = t.bundles.map(_.frame).distinct.size,
-          meanConf = if (conf.isEmpty) None else Some(conf.sum / conf.size),
-          maxConf = conf.maxOption,
-          cls = obs.map(_.cls).min,
-          rank = 0,
-        )
-      }
-      scored.sortBy(t => (-t.score, t.trackId)).zipWithIndex.map { case (t, i) => t.copy(rank = i + 1) }
+        val conf = t.modelConf
+        ScoredTrack(scene, t.trackId, severity(t), nObs = obs.size, nHuman = obs.count(_.source == Sources.Human),
+          nModel = conf.size, nFrames = t.bundles.map(_.frame).distinct.size, meanConf = t.meanConf,
+          maxConf = conf.maxOption, cls = obs.map(_.cls).min, rank = 0)
+      }.sortBy(t => (-t.score, t.trackId)).zipWithIndex.map { case (t, i) => t.copy(rank = i + 1) }
     }
   }
+
+  /** Rank as one list across scenes: highest score first, ties to the smaller `id`. */
+  private[repro] def rankGlobally(ranked: Dataset[_], id: String): DataFrame =
+    ranked.toDF().withColumn("rank", row_number().over(Window.orderBy(desc("score"), col(id))))
+
+  /** Eq. 2 over a track's factor graph, as a ranking severity. */
+  private def eq2(features: Seq[Loa.AppliedFeature]): Loa.Track => Double = FactorGraph.compileTrack(_, features).score
 
   /** Score every track of `tracked` per Eq. 2.
     *
@@ -228,27 +226,29 @@ object Fixy {
       useTrackLength: Boolean = false,
       invert: Boolean = false,
   )(implicit spark: SparkSession): DataFrame =
-    scoreScenes(tracked, model, cfg, useDistance, useTrackLength, invert)(_ => true).toDF().drop("rank")
+    rankTracks(tracked, _ => true)(eq2(driverFeatures(model, cfg, useDistance, useTrackLength, invert))).toDF().drop("rank")
 
   // --------------------------------------------------------------------------
   // Application 1 (§7, §8.2): finding tracks missed entirely by human labels.
   // --------------------------------------------------------------------------
 
-  /** Rank model-only tracks by plausibility, most plausible first. The AOF
-    * zeroes out tracks containing any human proposal ("model only", Table 2)
-    * and tracks with ≤ 2 observations ("count"); both are hard filters, so we
-    * implement them as predicates rather than ε-score factors.
-    *
-    * Adds `rank` (1-based, per scene).
+  /** The §8.2 candidates, ranked by Fixy and the consistency assertion alike:
+    * the AOF zeroes out tracks with a human proposal ("model only", Table 2)
+    * and tracks under `minObs` observations ("count"); both are hard filters,
+    * so they are a predicate rather than ε-score factors.
+    */
+  private[repro] def isMissingTrackCandidate(minObs: Int)(t: Loa.Track): Boolean =
+    !t.hasSource(Sources.Human) && t.nObs >= minObs
+
+  /** Rank the §8.2 candidates ([[isMissingTrackCandidate]]) by plausibility,
+    * most plausible first. Adds `rank` (1-based, per scene).
     */
   def rankMissingTracks(
       tracked: Dataset[TrackedObs],
       model: LearnedModel,
       cfg: FixyConfig = FixyConfig(),
   )(implicit spark: SparkSession): DataFrame =
-    scoreScenes(tracked, model, cfg, useDistance = true, useTrackLength = false, invert = false) { t =>
-      !t.hasSource(Sources.Human) && t.nObs >= cfg.minTrackObs
-    }.toDF()
+    rankTracks(tracked, isMissingTrackCandidate(cfg.minTrackObs))(eq2(driverFeatures(model, cfg))).toDF()
 
   // --------------------------------------------------------------------------
   // Application 2 (§7, §8.3): finding missing labels *within* human tracks.
@@ -271,9 +271,9 @@ object Fixy {
       cfg: FixyConfig = FixyConfig(),
   )(implicit spark: SparkSession): DataFrame = {
     import spark.implicits._
-    tracked.groupByKey(_.scene).flatMapGroups { (scene, rows) =>
-      val features = driverFeatures(model, cfg)
-      val candidates = Loa.fromTracked(rows.toSeq).flatMap(_.tracks).filter(_.hasSource(Sources.Human)).flatMap { t =>
+    val features = driverFeatures(model, cfg)
+    perScene(tracked) { (scene, tracks) =>
+      val candidates = tracks.filter(_.hasSource(Sources.Human)).flatMap { t =>
         val humanFrames = t.allObs.filter(_.source == Sources.Human).map(_.frame).toSet
         lazy val compiled = FactorGraph.compileTrack(t, features)
         t.bundles.zipWithIndex.collect {
@@ -302,8 +302,7 @@ object Fixy {
       excludedTrackIds: Seq[Long] = Seq.empty,
   )(implicit spark: SparkSession): DataFrame = {
     val excluded = excludedTrackIds.toSet
-    scoreScenes(tracked, model, cfg, useDistance = false, useTrackLength = true, invert = true) { t =>
-      t.nObs >= cfg.minTrackObs && !excluded(t.trackId)
-    }.toDF().withColumn("rank", row_number().over(Window.orderBy(desc("score"), col("trackId"))))
+    rankGlobally(rankTracks(tracked, t => t.nObs >= cfg.minTrackObs && !excluded(t.trackId))(
+      eq2(driverFeatures(model, cfg, useDistance = false, useTrackLength = true, invert = true))), "trackId")
   }
 }

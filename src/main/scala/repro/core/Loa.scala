@@ -30,6 +30,9 @@ object Loa {
     def allObs: Seq[Obs] = bundles.flatMap(_.obs)
     def nObs: Int = allObs.size
     def hasSource(s: String): Boolean = allObs.exists(_.source == s)
+    /** The model observations' confidences, and their mean (None without any). */
+    def modelConf: Seq[Double] = allObs.filter(_.source == Sources.Model).map(_.conf)
+    def meanConf: Option[Double] = Option(modelConf).filter(_.nonEmpty).map(c => c.sum / c.size)
   }
 
   /** Scene s: a set of tracks. */

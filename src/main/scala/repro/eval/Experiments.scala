@@ -1,7 +1,6 @@
 package repro.eval
 
 import org.apache.spark.sql.{DataFrame, Dataset, SparkSession}
-import org.apache.spark.sql.expressions.Window
 import org.apache.spark.sql.functions._
 
 import repro.baselines.{ModelAssertions, Uncertainty}
@@ -94,7 +93,7 @@ object Experiments {
   }
 
   /** §8.3: the injected consistent missing observation should rank at the top
-    * of the candidate bundles (globally, across all scenes/distractors).
+    * of the candidate bundles (`rank` is global, across all scenes/distractors).
     */
   def missingObsExperiment(implicit spark: SparkSession): MissingObsResult = {
     val cfg = FixyConfig()
@@ -103,9 +102,7 @@ object Experiments {
     val tracked = Association.assignTracks(PerceptionData.observations(spec), cfg.assoc).cache()
     try {
       val truth = PerceptionData.truth(spec)
-      val ranked = Fixy.rankMissingObservations(tracked, learned, cfg)
-        .withColumn("grank", row_number().over(Window.orderBy(desc("score"), col("bundleId"))))
-        .cache()
+      val ranked = Fixy.rankGlobally(Fixy.rankMissingObservations(tracked, learned, cfg), "bundleId").cache()
       try {
         // The single "good" injected missing observation: its object id and frame.
         val good = truth.toDF().where(col("missingObsKind") === "good")
@@ -119,7 +116,7 @@ object Experiments {
         val bundleMaj = tracked.toDF().groupBy("bundleId").agg(min("trueId").as("bTrueId"))
         val goodRanked = ranked.join(bundleMaj, Seq("bundleId"))
           .where(col("bTrueId") === goodId && col("frame") === goodFrame)
-          .select("grank").collect()
+          .select("rank").collect()
         require(goodRanked.nonEmpty, "good missing observation did not survive as a candidate bundle")
         MissingObsResult(goodRanked.map(_.getInt(0).toLong).min, ranked.count())
       } finally ranked.unpersist()

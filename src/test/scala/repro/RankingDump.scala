@@ -1,0 +1,64 @@
+package repro
+
+import java.io.PrintWriter
+
+import org.apache.spark.sql.{DataFrame, SparkSession}
+import org.apache.spark.sql.functions.col
+
+import repro.baselines.{ModelAssertions, Uncertainty}
+import repro.core.{Association, Fixy, FixyConfig, Sources}
+import repro.perception.{DatasetSpec, PerceptionData}
+
+/** Writes every ranking the experiments rank, for diffing two versions of the
+  * code: one tab-separated line per ranked track or bundle — ranking, scene,
+  * id, rank and the full-precision score or severity — ordered by ranking,
+  * scene and rank. The §8.4 flagged set is written as ids only.
+  *
+  * Rankings: Fixy's missing tracks, MA(conf) and MA(rand) with seeds 1–5 on
+  * `lyftEval` and `internalAudit`; Fixy's §8.3 bundles on `missingObsSim`;
+  * the §8.4 flagged set, Fixy's model errors and uncertainty sampling on the
+  * model observations of `modelErrorSim`.
+  *
+  * Run: `sbt "Test/runMain repro.RankingDump <out.tsv>"`
+  */
+object RankingDump {
+  def main(args: Array[String]): Unit = {
+    require(args.length == 1, "usage: RankingDump <out.tsv>")
+    implicit val spark: SparkSession = SparkSpec.shared
+    val cfg = FixyConfig()
+    val out = new PrintWriter(args(0))
+    def dump(ranking: String, ranked: DataFrame, id: String, score: String): Unit =
+      ranked.select(col("scene"), col(id), col("rank"), col(score)).collect()
+        .map(r => (r.getLong(0), r.getInt(2), r.getLong(1), r.getDouble(3))).sorted
+        .foreach { case (scene, rank, i, s) => out.println(s"$ranking\t$scene\t$i\t$rank\t$s") }
+    def learn(train: DatasetSpec) = Fixy.learn(PerceptionData.observations(train), cfg)
+    try {
+      for ((train, eval) <- Seq(
+          PerceptionData.lyftTrain -> PerceptionData.lyftEval,
+          PerceptionData.internalTrain -> PerceptionData.internalAudit)) {
+        val learned = learn(train)
+        val tracked = Association.assignTracks(PerceptionData.observations(eval), cfg.assoc).cache()
+        dump(s"${eval.name}/fixy", Fixy.rankMissingTracks(tracked, learned, cfg), "trackId", "score")
+        dump(s"${eval.name}/ma-conf", ModelAssertions.consistency(tracked, "conf", cfg.minTrackObs), "trackId", "severity")
+        for (seed <- 1L to 5L)
+          dump(s"${eval.name}/ma-rand-$seed", ModelAssertions.consistency(tracked, "rand", cfg.minTrackObs, seed),
+            "trackId", "severity")
+        tracked.unpersist()
+      }
+      val learned = learn(PerceptionData.internalTrain)
+      val missingObs = Association.assignTracks(PerceptionData.observations(PerceptionData.missingObsSim), cfg.assoc)
+      dump("missing-obs/fixy", Fixy.rankMissingObservations(missingObs, learned, cfg), "bundleId", "score")
+
+      val modelObs = PerceptionData.observations(PerceptionData.modelErrorSim).filter(_.source == Sources.Model)
+      val tracked = Association.assignTracks(modelObs, cfg.assoc).cache()
+      val flagged = ModelAssertions.allFlagged(tracked, appearMinObs = 4)
+      flagged.foreach(id => out.println(s"model-errors/flagged\t\t$id\t\t"))
+      dump("model-errors/fixy", Fixy.rankModelErrors(tracked, learned, cfg, excludedTrackIds = flagged), "trackId", "score")
+      dump("model-errors/uncertainty", Uncertainty.rankTracks(tracked), "trackId", "severity")
+      tracked.unpersist()
+    } finally {
+      out.close()
+      spark.stop()
+    }
+  }
+}

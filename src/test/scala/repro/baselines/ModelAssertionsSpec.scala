@@ -51,6 +51,21 @@ class ModelAssertionsSpec extends SparkSpec {
     val out = ModelAssertions.consistency(tracked(hi ++ lo), "conf").collect().sortBy(_.getAs[Int]("rank"))
     assert(out.head.getAs[Double]("meanConf") > out.last.getAs[Double]("meanConf"))
   }
+  test("rand severity equals Spark's abs(hash(trackId, seed)) on every lyftEval and internalAudit track") {
+    import org.apache.spark.sql.functions.{abs, col, hash, lit}
+    for (spec <- Seq(PerceptionData.lyftEval, PerceptionData.internalAudit)) {
+      val ids = Association.assignTracks(PerceptionData.observations(spec)).select("trackId").distinct().cache()
+      for (seed <- 1L to 5L) {
+        val sparkHash = ids.select(col("trackId"), abs(hash(col("trackId"), lit(seed))).cast("double")).collect()
+        assert(sparkHash.nonEmpty)
+        sparkHash.foreach { r =>
+          assert(ModelAssertions.randSeverity(seed)(r.getLong(0)) == r.getDouble(1),
+            s"${spec.name} seed $seed track ${r.getLong(0)}")
+        }
+      }
+      ids.unpersist()
+    }
+  }
   test("unknown ordering is rejected") {
     assertThrows[IllegalArgumentException] {
       ModelAssertions.consistency(tracked(movingTrack(5)), "bogus")

@@ -23,6 +23,40 @@ class AssociationPureSpec extends AnyFunSuite {
       Association.assignScene(Seq.fill(Association.SceneStride.toInt + 1)(obs())))
     assert(e.getMessage.contains("SceneStride"))
   }
+
+  // --- input validation -----------------------------------------------------
+
+  /** `bad` is rejected next to a valid observation, naming `field` and where. */
+  private def rejects(bad: Obs, field: String): Unit = {
+    val e = intercept[IllegalArgumentException](Association.assignScene(Seq(obs(scene = 2), bad)))
+    assert(e.getMessage.contains(s"$field = ") && e.getMessage.contains(s"scene 2, frame ${bad.frame}"), e.getMessage)
+  }
+  private val nonFinite = Seq(Double.NaN, Double.PositiveInfinity, Double.NegativeInfinity)
+
+  test("non-finite coordinates are rejected") {
+    for (v <- nonFinite) {
+      rejects(obs(scene = 2, frame = 4, x = v), "x")
+      rejects(obs(scene = 2, frame = 4, y = v), "y")
+      rejects(obs(scene = 2, frame = 4).copy(z = v), "z")
+    }
+  }
+  test("box dimensions that are not finite and positive are rejected") {
+    for (v <- 0.0 +: -1.0 +: nonFinite) {
+      rejects(obs(scene = 2, frame = 5, l = v), "l")
+      rejects(obs(scene = 2, frame = 5, w = v), "w")
+      rejects(obs(scene = 2, frame = 5, h = v), "h")
+    }
+  }
+  test("conf that is NaN or outside [0, 1] is rejected") {
+    for (v <- Seq(Double.NaN, -0.01, 1.01, Double.PositiveInfinity)) rejects(obs(scene = 2, frame = 6, conf = v), "conf")
+  }
+  test("an unknown source is rejected") {
+    rejects(obs(scene = 2, frame = 7, source = "lidar"), "source")
+  }
+  test("conf of exactly 0 and 1 is accepted") {
+    assert(Association.assignScene(Seq(obs(conf = 0.0), obs(x = 50, trueId = 2, conf = 1.0))).size == 2)
+  }
+
   test("a single observation forms its own bundle and track") {
     val out = Association.assignScene(Seq(obs()))
     assert(out.size == 1)

@@ -3,6 +3,7 @@ package repro.core
 import org.apache.spark.sql.{DataFrame, Dataset, SparkSession}
 
 import repro.SparkSpec
+import repro.baselines.{ModelAssertions, Uncertainty}
 import repro.perception.{DatasetSpec, PerceptionData}
 import TestObs.movingTrack
 
@@ -131,9 +132,7 @@ class FixySpec extends SparkSpec {
 
   test("rankings are unchanged by input row order and shuffle partition count") {
     import ss.implicits._
-    type Ranked = (Long, Long, Int, Double) // (scene, track or bundle id, rank, score)
-    def rows(df: DataFrame, id: String): Seq[Ranked] =
-      df.select(col("scene"), col(id), col("rank"), col("score")).as[(Long, Long, Int, Double)].collect().toSeq.sorted
+    type Ranked = (Long, Long, Int, Double) // (scene, track or bundle id, rank, score or severity)
     def withPartitions[A](n: Int)(body: => A): A = {
       val before = ss.conf.get("spark.sql.shuffle.partitions")
       ss.conf.set("spark.sql.shuffle.partitions", n.toString)
@@ -147,27 +146,67 @@ class FixySpec extends SparkSpec {
     // Scene-local ids: association packs the scene id above SceneStride.
     def local(rs: Seq[Ranked]): Seq[Ranked] =
       rs.map { case (s, id, rank, score) => (s, id % Association.SceneStride, rank, score) }.sorted
-    val rankers: Seq[(String, DatasetSpec, Boolean, String, Dataset[TrackedObs] => DataFrame)] = Seq(
-      ("rankMissingTracks", PerceptionData.internalTrain.copy(nScenes = 2, pMissingTrack = 0.3), false, "trackId",
-        Fixy.rankMissingTracks(_, learned, cfg)),
-      ("rankMissingObservations", PerceptionData.missingObsSim.copy(nScenes = 2), false, "bundleId",
+    // `relabels`: the ranking may not depend on scene ids. MA(rand) hashes the
+    // track id, which holds the scene id, so relabelling may change it.
+    final case class Ranker(name: String, spec: DatasetSpec, modelOnly: Boolean, id: String, score: String,
+        relabels: Boolean, ranker: Dataset[TrackedObs] => DataFrame)
+    val missingTracks = PerceptionData.internalTrain.copy(nScenes = 2, pMissingTrack = 0.3)
+    val modelErrors = PerceptionData.modelErrorSim.copy(nScenes = 2)
+    val rankers = Seq(
+      Ranker("rankMissingTracks", missingTracks, false, "trackId", "score", true, Fixy.rankMissingTracks(_, learned, cfg)),
+      Ranker("rankMissingObservations", PerceptionData.missingObsSim.copy(nScenes = 2), false, "bundleId", "score", true,
         Fixy.rankMissingObservations(_, learned, cfg)),
-      ("rankModelErrors", PerceptionData.modelErrorSim.copy(nScenes = 2), true, "trackId",
-        Fixy.rankModelErrors(_, learned, cfg)),
+      Ranker("rankModelErrors", modelErrors, true, "trackId", "score", true, Fixy.rankModelErrors(_, learned, cfg)),
+      Ranker("MA(conf)", missingTracks, false, "trackId", "severity", true, ModelAssertions.consistency(_, "conf")),
+      Ranker("MA(rand, seed 3)", missingTracks, false, "trackId", "severity", false,
+        ModelAssertions.consistency(_, "rand", seed = 3)),
+      Ranker("uncertainty", modelErrors, true, "trackId", "severity", true, Uncertainty.rankTracks(_)),
     )
-    for ((name, spec, modelOnly, id, ranker) <- rankers) {
-      def rank(t: Dataset[TrackedObs]): Seq[Ranked] = rows(ranker(t), id)
-      val tracked = assoc(spec, modelOnly, identity)
-      val relabelled = assoc(spec, modelOnly, relabel)
+    for (r <- rankers) {
+      def rank(t: Dataset[TrackedObs]): Seq[Ranked] = r.ranker(t)
+        .select(col("scene"), col(r.id), col("rank"), col(r.score)).as[(Long, Long, Int, Double)].collect().toSeq.sorted
+      val tracked = assoc(r.spec, r.modelOnly, identity)
       val base = withPartitions(64)(rank(tracked))
-      assert(base.nonEmpty, name)
-      assert(rank(tracked.orderBy(rand(7))) == base, s"$name: shuffled input rows")
-      assert(withPartitions(1)(rank(tracked)) == base, s"$name: 1 vs 64 shuffle partitions")
-      assert(local(rank(relabelled)) == local(base.map { case (s, i, r, sc) => (relabel(s), i, r, sc) }),
-        s"$name: scene ids relabelled s -> 3s + 7")
+      assert(base.nonEmpty, r.name)
+      assert(rank(tracked.orderBy(rand(7))) == base, s"${r.name}: shuffled input rows")
+      assert(withPartitions(1)(rank(tracked)) == base, s"${r.name}: 1 vs 64 shuffle partitions")
+      if (r.relabels) {
+        val relabelled = assoc(r.spec, r.modelOnly, relabel)
+        assert(local(rank(relabelled)) == local(base.map { case (s, i, rk, sc) => (relabel(s), i, rk, sc) }),
+          s"${r.name}: scene ids relabelled s -> 3s + 7")
+        relabelled.unpersist()
+      }
       tracked.unpersist()
-      relabelled.unpersist()
     }
+  }
+
+  // --- degenerate inputs ------------------------------------------------------
+
+  test("every ranker returns no rows, with its documented columns, on empty input") {
+    import ss.implicits._
+    val empty = ss.emptyDataset[TrackedObs]
+    val scored = Seq("scene", "trackId", "score", "nObs", "nHuman", "nModel", "nFrames", "meanConf", "maxConf", "cls", "rank")
+    val ma = Seq("scene", "trackId", "nObs", "nHuman", "meanConf", "cls", "severity", "rank")
+    val rankings = Seq(
+      "rankMissingTracks" -> (Fixy.rankMissingTracks(empty, learned, cfg), scored),
+      "rankMissingObservations" -> (Fixy.rankMissingObservations(empty, learned, cfg),
+        Seq("scene", "trackId", "bundleId", "frame", "score", "nObs", "cls", "rank")),
+      "rankModelErrors" -> (Fixy.rankModelErrors(empty, learned, cfg), scored),
+      "MA(conf)" -> (ModelAssertions.consistency(empty, "conf"), ma),
+      "MA(rand)" -> (ModelAssertions.consistency(empty, "rand", seed = 1), ma),
+      "uncertainty" -> (Uncertainty.rankTracks(empty),
+        Seq("scene", "trackId", "nObs", "meanConf", "maxConf", "severity", "rank")),
+    )
+    for ((name, (df, columns)) <- rankings) {
+      assert(df.columns.toSeq == columns, name)
+      assert(df.count() == 0, name)
+    }
+  }
+  test("learn on human tracks of single observations fails for want of velocities") {
+    // Frames further apart than maxGap: every observation is its own track.
+    val singles = (0 until 3).map(i => TestObs.obs(frame = 10 * i, source = Sources.Human, trueId = i, conf = 1.0))
+    val e = intercept[IllegalArgumentException](Fixy.learn(toDs(singles), cfg))
+    assert(e.getMessage.contains("velocity"), e.getMessage)
   }
 
   // --- application 1: missing tracks (§8.2) ---------------------------------
