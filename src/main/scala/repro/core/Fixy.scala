@@ -291,9 +291,9 @@ object Fixy {
 
   /** Rank model tracks by *implausibility* (the `1 − x` AOF), excluding any
     * track in `excludedTrackIds` (the errors the ad-hoc MAs already found,
-    * per §8.4). Input should contain model observations only. Adds `rank`
-    * (1-based, global — the paper reports a single top-10 over 5 scenes),
-    * ranked over the scored tracks that pass the filters.
+    * per §8.4). Its input should be model observations only: it does not look
+    * at sources. Adds `rank` (1-based, global — the paper reports a single
+    * top-10 over 5 scenes), ranked over the scored tracks that pass the filters.
     */
   def rankModelErrors(
       tracked: Dataset[TrackedObs],

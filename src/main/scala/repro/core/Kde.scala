@@ -4,7 +4,8 @@ package repro.core
   *
   * Fit with Silverman's rule-of-thumb bandwidth over the (possibly subsampled)
   * training values, then evaluated on a fixed grid so that scoring is O(1) per
-  * lookup (the exact sum-of-kernels form is kept as [[pdfExact]] for testing).
+  * lookup; an instance is its bandwidth and grid (the exact sum-of-kernels
+  * density, [[Kde.pdfExact]], is the tests' reference).
   *
   * [[likelihood]] is the density normalized by the maximum density over the
   * grid, giving a *relative* likelihood in (0, 1]. This matches the paper's §6
@@ -15,26 +16,12 @@ package repro.core
   * shipped to the Spark tasks that score scenes.
   */
 final case class Kde(
-    samples: Array[Double],
     bandwidth: Double,
     gridLo: Double,
     gridStep: Double,
     gridDensity: Array[Double],
     maxDensity: Double,
 ) extends Serializable {
-
-  /** Exact sum-of-Gaussians density at x (reference implementation). */
-  def pdfExact(x: Double): Double = {
-    val h = bandwidth
-    var s = 0.0
-    var i = 0
-    while (i < samples.length) {
-      val z = (x - samples(i)) / h
-      s += math.exp(-0.5 * z * z)
-      i += 1
-    }
-    s / (samples.length * h * math.sqrt(2.0 * math.Pi))
-  }
 
   /** Grid-interpolated density at x; 0 outside the (±4 bandwidth padded) grid. */
   def pdf(x: Double): Double = {
@@ -74,7 +61,31 @@ object Kde {
     math.max(1.06 * spread * math.pow(n.toDouble, -0.2), 1e-3 * scale)
   }
 
-  /** Fit a KDE over `values`, deterministically subsampling above `maxSamples`. */
+  /** Exact sum-of-Gaussians density at x of `samples` with bandwidth `h`. */
+  def pdfExact(samples: Array[Double], h: Double)(x: Double): Double = {
+    var s = 0.0
+    var i = 0
+    while (i < samples.length) {
+      val z = (x - samples(i)) / h
+      s += math.exp(-0.5 * z * z)
+      i += 1
+    }
+    s / (samples.length * h * math.sqrt(2.0 * math.Pi))
+  }
+
+  /** The sorted values, or a stride subsample of `maxSamples` of them: it keeps
+    * the distribution's shape without an RNG, so fits are reproducible.
+    */
+  def subsample(values: Seq[Double], maxSamples: Int): Array[Double] = {
+    val sorted = values.sorted
+    if (sorted.length <= maxSamples) sorted.toArray
+    else {
+      val stride = sorted.length.toDouble / maxSamples
+      Array.tabulate(maxSamples)(i => sorted(math.min(sorted.length - 1, (i * stride).toInt)))
+    }
+  }
+
+  /** Fit a KDE over `values`, subsampled ([[subsample]]) above `maxSamples`. */
   def fit(
       values: Seq[Double],
       maxSamples: Int = DefaultMaxSamples,
@@ -82,22 +93,13 @@ object Kde {
   ): Kde = {
     require(values.nonEmpty, "cannot fit a KDE over no values")
     require(gridSize >= 2, s"gridSize must be >= 2, got $gridSize")
-    // Deterministic stride subsample over the sorted values preserves the
-    // empirical distribution's shape without an RNG (reproducible fits).
-    val sorted = values.sorted
-    val kept =
-      if (sorted.length <= maxSamples) sorted.toArray
-      else {
-        val stride = sorted.length.toDouble / maxSamples
-        Array.tabulate(maxSamples)(i => sorted(math.min(sorted.length - 1, (i * stride).toInt)))
-      }
+    val kept = subsample(values, maxSamples)
     val h = silvermanBandwidth(kept.toIndexedSeq)
     val lo = kept.head - 4.0 * h
     val hi = kept.last + 4.0 * h
     val step = (hi - lo) / (gridSize - 1)
-    val proto = Kde(kept, h, lo, step, Array.emptyDoubleArray, 1.0)
-    val grid = Array.tabulate(gridSize)(i => proto.pdfExact(lo + i * step))
+    val grid = Array.tabulate(gridSize)(i => pdfExact(kept, h)(lo + i * step))
     val maxD = grid.max
-    Kde(kept, h, lo, step, grid, if (maxD > 0) maxD else 1.0)
+    Kde(h, lo, step, grid, if (maxD > 0) maxD else 1.0)
   }
 }

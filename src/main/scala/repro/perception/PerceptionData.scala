@@ -21,8 +21,6 @@ final case class DatasetSpec(
     name: String,
     nScenes: Int,
     seed: Long,
-    fps: Int = 5,
-    nFrames: Int = 75,
     objectsPerScene: Int = 40,
     /** Probability an object's human track is entirely missing (§8.2 errors). */
     pMissingTrack: Double = 0.0,
@@ -52,13 +50,8 @@ final case class DatasetSpec(
     novelErrorsPerScene: Int = 0,
     detNoisePos: Double = 0.10,
     detNoiseDim: Double = 0.06,
-    humanNoisePos: Double = 0.03,
-    humanNoiseDim: Double = 0.02,
     confBase: Double = 0.97,
-    confSlope: Double = 1.0 / 140,
     confNoise: Double = 0.05,
-    /** Probability an object is only briefly visible (occlusion). */
-    pShortVis: Double = 0.08,
 ) {
   import PerceptionData.{ForcedBase, GhostBase, IdStride, NovelBase}
   private def fits(field: String, n: Int, max: Long): Unit =
@@ -102,6 +95,14 @@ object PerceptionData {
   val ForcedBase = 10000L
   val GhostBase = 1000L
   val NovelBase = 50000L
+
+  /** Fixed generator constants: frames, human label noise, confidence slope, brief-visibility rate. */
+  val Fps = 5
+  val NFrames = 75
+  val HumanNoisePos = 0.03
+  val HumanNoiseDim = 0.02
+  val ConfSlope = 1.0 / 140
+  val PShortVis = 0.08
 
   /** Class-conditional geometry and motion parameters (meters, m/s). Speeds
     * are clamped to `speedMax` so consecutive-frame boxes keep IOU above the
@@ -147,7 +148,6 @@ object PerceptionData {
   def genScene(spec: DatasetSpec, sceneIdx: Long): (Vector[TruthRow], Vector[Obs]) = {
     val rng = new Random(spec.seed * 1000003L + sceneIdx * 7919L + 13L)
     val clean = sceneIdx < spec.cleanScenes
-    val nF = spec.nFrames
 
     // --- Regular objects ---------------------------------------------------
     var objects = Vector.empty[ObjState]
@@ -162,13 +162,13 @@ object PerceptionData {
       val parked = rng.nextDouble() < p.pParked
       val speed = if (parked) 0.0 else clamp(p.speedMean + rng.nextGaussian() * p.speedSd, 0.0, p.speedMax)
       val phi = 2 * math.Pi * rng.nextDouble()
-      val shortVis = rng.nextDouble() < spec.pShortVis
+      val shortVis = rng.nextDouble() < PShortVis
       val (vs, ve) =
         if (shortVis) {
           val len = 3 + rng.nextInt(13)
-          val start = rng.nextInt(math.max(1, nF - len + 1))
-          (start, math.min(nF, start + len))
-        } else (0, nF)
+          val start = rng.nextInt(math.max(1, NFrames - len + 1))
+          (start, math.min(NFrames, start + len))
+        } else (0, NFrames)
       val missing = !clean && rng.nextDouble() < spec.pMissingTrack
       objects :+= ObjState(
         sceneIdx * IdStride + i + 1, cls, l, w, h,
@@ -187,8 +187,8 @@ object PerceptionData {
         val th = 2 * math.Pi * rng.nextDouble()
         val speed = clamp(p.speedMean + rng.nextGaussian() * p.speedSd, 0.0, p.speedMax)
         val phi = 2 * math.Pi * rng.nextDouble()
-        val len = math.min(fm.visLen, nF)
-        val start = if (len >= nF) 0 else rng.nextInt(nF - len + 1)
+        val len = math.min(fm.visLen, NFrames)
+        val start = if (len >= NFrames) 0 else rng.nextInt(NFrames - len + 1)
         objects :+= ObjState(
           sceneIdx * IdStride + ForcedBase + j + 1, fm.cls, l, w, h,
           fm.dist * math.cos(th), fm.dist * math.sin(th),
@@ -204,10 +204,10 @@ object PerceptionData {
     val nBad = spec.badMissingObsPerScene
     if (nGood + nBad > 0) {
       val eligible = objects.zipWithIndex.filter { case (o, _) =>
-        !o.missingTrack && o.visStart == 0 && o.visEnd == nF && math.hypot(o.x0, o.y0) < 45.0
+        !o.missingTrack && o.visStart == 0 && o.visEnd == NFrames && math.hypot(o.x0, o.y0) < 45.0
       }
       eligible.take(nGood + nBad).zipWithIndex.foreach { case ((o, idx), k) =>
-        val frame = nF / 2 + rng.nextInt(5)
+        val frame = NFrames / 2 + rng.nextInt(5)
         val good = k < nGood
         objects = objects.updated(idx, o.copy(
           missingObsFrames = Set(frame),
@@ -219,18 +219,18 @@ object PerceptionData {
     // --- Emit observations for real objects --------------------------------
     val obsOut = Vector.newBuilder[Obs]
     for (o <- objects; f <- o.visStart until o.visEnd) {
-      val x = o.x0 + o.vx * f / spec.fps
-      val y = o.y0 + o.vy * f / spec.fps
+      val x = o.x0 + o.vx * f / Fps
+      val y = o.y0 + o.vy * f / Fps
       val d = math.hypot(x, y)
       if (!o.missingTrack && !o.missingObsFrames.contains(f)) {
         obsOut += Obs(
           sceneIdx, f, Sources.Human, o.id, o.cls,
-          x + rng.nextGaussian() * spec.humanNoisePos,
-          y + rng.nextGaussian() * spec.humanNoisePos,
+          x + rng.nextGaussian() * HumanNoisePos,
+          y + rng.nextGaussian() * HumanNoisePos,
           0.0,
-          o.l * math.exp(rng.nextGaussian() * spec.humanNoiseDim),
-          o.w * math.exp(rng.nextGaussian() * spec.humanNoiseDim),
-          o.h * math.exp(rng.nextGaussian() * spec.humanNoiseDim),
+          o.l * math.exp(rng.nextGaussian() * HumanNoiseDim),
+          o.w * math.exp(rng.nextGaussian() * HumanNoiseDim),
+          o.h * math.exp(rng.nextGaussian() * HumanNoiseDim),
           conf = 1.0)
       } else {
         // Keep the RNG stream aligned across labeled/unlabeled variants.
@@ -248,7 +248,7 @@ object PerceptionData {
           o.l * dimScale * math.exp(rng.nextGaussian() * spec.detNoiseDim),
           o.w * dimScale * math.exp(rng.nextGaussian() * spec.detNoiseDim),
           o.h * dimScale * math.exp(rng.nextGaussian() * spec.detNoiseDim),
-          conf = clamp(spec.confBase - d * spec.confSlope + rng.nextGaussian() * spec.confNoise, 0.05, 0.99))
+          conf = clamp(spec.confBase - d * ConfSlope + rng.nextGaussian() * spec.confNoise, 0.05, 0.99))
       } else {
         rng.nextGaussian(); rng.nextGaussian(); rng.nextGaussian()
         rng.nextGaussian(); rng.nextGaussian(); rng.nextGaussian()
@@ -275,7 +275,7 @@ object PerceptionData {
       val w = p.w * (0.5 + 1.3 * rng.nextDouble())
       val h = p.h * (0.5 + 1.3 * rng.nextDouble())
       val len = if (subtype == "appear") 1 + rng.nextInt(2) else 3 + rng.nextInt(12)
-      val start = rng.nextInt(math.max(1, nF - len))
+      val start = rng.nextInt(math.max(1, NFrames - len))
       val r = 5.0 + 55.0 * rng.nextDouble()
       val th = 2 * math.Pi * rng.nextDouble()
       var gx = r * math.cos(th)
@@ -310,7 +310,7 @@ object PerceptionData {
       val id = -(sceneIdx * IdStride + NovelBase + j)
       val tpe = Seq("wrongcls", "voldrift", "jittervel")(j % 3)
       val len = 8 + rng.nextInt(8)
-      val start = rng.nextInt(math.max(1, nF - len))
+      val start = rng.nextInt(math.max(1, NFrames - len))
       // Reserved radius band keeps novel tracks from landing on (and merging
       // with) real objects' tracks, which would dilute their ground truth.
       val r = 45.0 + 25.0 * rng.nextDouble()
@@ -334,8 +334,8 @@ object PerceptionData {
           nx += dir * 2.0 * math.cos(phi)
           ny += dir * 2.0 * math.sin(phi)
         } else {
-          nx += speed / spec.fps * math.cos(phi)
-          ny += speed / spec.fps * math.sin(phi)
+          nx += speed / Fps * math.cos(phi)
+          ny += speed / Fps * math.sin(phi)
         }
         val scale = if (tpe == "voldrift") Seq(0.6, 1.0, 1.5)(fi % 3) else 1.0
         obsOut += Obs(

@@ -7,12 +7,15 @@ import org.apache.spark.sql.functions.col
 
 import repro.baselines.{ModelAssertions, Uncertainty}
 import repro.core.{Association, Fixy, FixyConfig, Sources}
+import repro.eval.Metrics
 import repro.perception.{DatasetSpec, PerceptionData}
 
-/** Writes every ranking the experiments rank, for diffing two versions of the
-  * code: one tab-separated line per ranked track or bundle — ranking, scene,
-  * id, rank and the full-precision score or severity — ordered by ranking,
-  * scene and rank. The §8.4 flagged set is written as ids only.
+/** Writes every ranking the experiments rank, with the auditor's label of each
+  * proposal, for diffing two versions of the code: one tab-separated line per
+  * ranked track or bundle — ranking, scene, id, rank, the full-precision score
+  * or severity, and [[repro.eval.Metrics]]' `majTrueId` (the track's or
+  * bundle's object) and `isError` — ordered by ranking, scene and rank. The
+  * §8.4 flagged set is written as ids only.
   *
   * Rankings: Fixy's missing tracks, MA(conf) and MA(rand) with seeds 1–5 on
   * `lyftEval` and `internalAudit`; Fixy's §8.3 bundles on `missingObsSim`;
@@ -27,10 +30,10 @@ object RankingDump {
     implicit val spark: SparkSession = SparkSpec.shared
     val cfg = FixyConfig()
     val out = new PrintWriter(args(0))
-    def dump(ranking: String, ranked: DataFrame, id: String, score: String): Unit =
-      ranked.select(col("scene"), col(id), col("rank"), col(score)).collect()
-        .map(r => (r.getLong(0), r.getInt(2), r.getLong(1), r.getDouble(3))).sorted
-        .foreach { case (scene, rank, i, s) => out.println(s"$ranking\t$scene\t$i\t$rank\t$s") }
+    def dump(ranking: String, labeled: DataFrame, id: String, score: String): Unit =
+      labeled.select(col("scene"), col(id), col("rank"), col(score), col("majTrueId"), col("isError")).collect()
+        .map(r => (r.getLong(0), r.getInt(2), r.getLong(1), r.getDouble(3), r.getLong(4), r.getBoolean(5))).sorted
+        .foreach { case (scene, rank, i, s, maj, err) => out.println(s"$ranking\t$scene\t$i\t$rank\t$s\t$maj\t$err") }
     def learn(train: DatasetSpec) = Fixy.learn(PerceptionData.observations(train), cfg)
     try {
       for ((train, eval) <- Seq(
@@ -38,23 +41,28 @@ object RankingDump {
           PerceptionData.internalTrain -> PerceptionData.internalAudit)) {
         val learned = learn(train)
         val tracked = Association.assignTracks(PerceptionData.observations(eval), cfg.assoc).cache()
-        dump(s"${eval.name}/fixy", Fixy.rankMissingTracks(tracked, learned, cfg), "trackId", "score")
-        dump(s"${eval.name}/ma-conf", ModelAssertions.consistency(tracked, "conf", cfg.minTrackObs), "trackId", "severity")
+        val truth = PerceptionData.truth(eval).cache()
+        def label(ranked: DataFrame) = Metrics.labelMissingTrackProposals(ranked, tracked, truth)
+        dump(s"${eval.name}/fixy", label(Fixy.rankMissingTracks(tracked, learned, cfg)), "trackId", "score")
+        dump(s"${eval.name}/ma-conf", label(ModelAssertions.consistency(tracked, "conf", cfg.minTrackObs)), "trackId", "severity")
         for (seed <- 1L to 5L)
-          dump(s"${eval.name}/ma-rand-$seed", ModelAssertions.consistency(tracked, "rand", cfg.minTrackObs, seed),
+          dump(s"${eval.name}/ma-rand-$seed", label(ModelAssertions.consistency(tracked, "rand", cfg.minTrackObs, seed)),
             "trackId", "severity")
         tracked.unpersist()
+        truth.unpersist()
       }
       val learned = learn(PerceptionData.internalTrain)
       val missingObs = Association.assignTracks(PerceptionData.observations(PerceptionData.missingObsSim), cfg.assoc)
-      dump("missing-obs/fixy", Fixy.rankMissingObservations(missingObs, learned, cfg), "bundleId", "score")
+      dump("missing-obs/fixy", Metrics.labelMissingObsProposals(Fixy.rankMissingObservations(missingObs, learned, cfg),
+        missingObs, PerceptionData.truth(PerceptionData.missingObsSim)), "bundleId", "score")
 
       val modelObs = PerceptionData.observations(PerceptionData.modelErrorSim).filter(_.source == Sources.Model)
       val tracked = Association.assignTracks(modelObs, cfg.assoc).cache()
       val flagged = ModelAssertions.allFlagged(tracked, appearMinObs = 4)
       flagged.foreach(id => out.println(s"model-errors/flagged\t\t$id\t\t"))
-      dump("model-errors/fixy", Fixy.rankModelErrors(tracked, learned, cfg, excludedTrackIds = flagged), "trackId", "score")
-      dump("model-errors/uncertainty", Uncertainty.rankTracks(tracked), "trackId", "severity")
+      def label(ranked: DataFrame) = Metrics.labelModelErrorProposals(ranked, tracked)
+      dump("model-errors/fixy", label(Fixy.rankModelErrors(tracked, learned, cfg, excludedTrackIds = flagged)), "trackId", "score")
+      dump("model-errors/uncertainty", label(Uncertainty.rankTracks(tracked)), "trackId", "severity")
       tracked.unpersist()
     } finally {
       out.close()

@@ -202,6 +202,26 @@ class FixySpec extends SparkSpec {
       assert(df.count() == 0, name)
     }
   }
+  test("scenes with only human or only model observations rank only their documented candidates") {
+    val spec = PerceptionData.internalTrain.copy(nScenes = 2, pMissingTrack = 0.3)
+    // Scene 0 keeps its human observations only, scene 1 its model observations only.
+    val obs = PerceptionData.observations(spec).filter(o => (o.scene == 0) == (o.source == Sources.Human))
+    val tracked = Association.assignTracks(obs, cfg.assoc).cache()
+    // The scenes each ranking has rows for: §8.2 and uncertainty sampling need a
+    // model-only track, §8.3 a human track with a model-only bundle, and §8.4
+    // does not look at sources (its input is documented to be model-only).
+    val rankings = Seq(
+      "rankMissingTracks" -> (Fixy.rankMissingTracks(tracked, learned, cfg), Set(1L)),
+      "rankMissingObservations" -> (Fixy.rankMissingObservations(tracked, learned, cfg), Set.empty[Long]),
+      "rankModelErrors" -> (Fixy.rankModelErrors(tracked, learned, cfg), Set(0L, 1L)),
+      "MA(conf)" -> (ModelAssertions.consistency(tracked, "conf"), Set(1L)),
+      "MA(rand)" -> (ModelAssertions.consistency(tracked, "rand", seed = 1), Set(1L)),
+      "uncertainty" -> (Uncertainty.rankTracks(tracked), Set(1L)),
+    )
+    for ((name, (df, scenes)) <- rankings)
+      assert(df.select("scene").distinct().collect().map(_.getLong(0)).toSet == scenes, name)
+    tracked.unpersist()
+  }
   test("learn on human tracks of single observations fails for want of velocities") {
     // Frames further apart than maxGap: every observation is its own track.
     val singles = (0 until 3).map(i => TestObs.obs(frame = 10 * i, source = Sources.Human, trueId = i, conf = 1.0))

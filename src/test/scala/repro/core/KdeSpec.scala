@@ -33,16 +33,18 @@ class KdeSpec extends AnyFunSuite {
   }
 
   test("pdfExact integrates to ~1 over a wide range") {
-    val kde = Kde.fit(gaussianSample(300, 0, 1))
+    val vs = gaussianSample(300, 0, 1)
+    val exact: Double => Double = Kde.pdfExact(Kde.subsample(vs, Kde.DefaultMaxSamples), Kde.fit(vs).bandwidth)
     val (lo, hi, n) = (-8.0, 8.0, 4000)
     val step = (hi - lo) / n
-    val integral = (0 until n).map(i => kde.pdfExact(lo + (i + 0.5) * step) * step).sum
+    val integral = (0 until n).map(i => exact(lo + (i + 0.5) * step) * step).sum
     assert(math.abs(integral - 1.0) < 0.02, s"integral=$integral")
   }
   test("grid pdf closely matches exact pdf inside the grid") {
-    val kde = Kde.fit(gaussianSample(400, 5, 2))
+    val vs = gaussianSample(400, 5, 2)
+    val kde = Kde.fit(vs)
     for (x <- Seq(0.0, 2.5, 5.0, 7.5, 10.0)) {
-      val (g, e) = (kde.pdf(x), kde.pdfExact(x))
+      val (g, e) = (kde.pdf(x), Kde.pdfExact(Kde.subsample(vs, Kde.DefaultMaxSamples), kde.bandwidth)(x))
       assert(math.abs(g - e) <= 0.02 * math.max(1e-6, e) + 1e-4, s"x=$x grid=$g exact=$e")
     }
   }
@@ -93,8 +95,9 @@ class KdeSpec extends AnyFunSuite {
       assert(math.abs(full.likelihood(x) - sub.likelihood(x)) < 0.12, s"x=$x")
   }
   test("subsampling caps the sample array") {
-    val kde = Kde.fit(gaussianSample(10000, 0, 1), maxSamples = 500)
-    assert(kde.samples.length == 500)
+    val vs = gaussianSample(10000, 0, 1)
+    assert(Kde.subsample(vs, maxSamples = 500).length == 500)
+    assert(Kde.subsample(vs.take(300), maxSamples = 500).toSeq == vs.take(300).sorted)
   }
   test("single-value fit yields a usable spike distribution") {
     val kde = Kde.fit(Seq(7.0))

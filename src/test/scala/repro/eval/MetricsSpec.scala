@@ -22,12 +22,20 @@ class MetricsSpec extends SparkSpec {
   private def truthRow(scene: Long, id: Long, missing: Boolean): TruthRow =
     TruthRow(scene, id, "object", Classes.Car, missing, "none", Seq.empty, 10, 20.0)
 
+  /** Majority objects of one bundle: overlapping observations of `trueIds` in one frame. */
+  private def bundleMajority(trueIds: Long*): Seq[Long] = {
+    val tracked = Association.assignTracks(toDs(trueIds.map(id => TestObs.obs(trueId = id))))
+    Metrics.majority(tracked, "bundleId").collect().map(_.getAs[Long]("majTrueId")).toSeq
+  }
+
   test("majorityTrueId picks the dominant object of a track") {
     val os = movingTrack(7, trueId = 1) ++ Seq(TestObs.obs(frame = 7, trueId = 2, x = 17.0))
     val tracked = Association.assignTracks(toDs(os))
     val maj = Metrics.majorityTrueId(tracked).collect()
     assert(maj.length == 1)
     assert(maj.head.getAs[Long]("majTrueId") == 1L)
+    // Keyed by bundle: 1 is the smallest id but not the majority.
+    assert(bundleMajority(2, 1, 2) == Seq(2L))
   }
   test("majorityTrueId breaks ties on the smaller id") {
     val os = movingTrack(3, trueId = 5) ++
@@ -36,6 +44,15 @@ class MetricsSpec extends SparkSpec {
     val maj = Metrics.majorityTrueId(tracked).collect()
     assert(maj.length == 1)
     assert(maj.head.getAs[Long]("majTrueId") == 2L)
+    assert(bundleMajority(5, 2) == Seq(2L))
+  }
+
+  test("the answer key is the real objects whose human track is missing") {
+    val truth = truthDs(Seq(
+      truthRow(0, 1, missing = true), truthRow(0, 2, missing = false), truthRow(3, 4, missing = true),
+      truthRow(0, -1001, missing = true).copy(kind = "ghost"), truthRow(1, -50001, missing = true).copy(kind = "novel")))
+    assert(Metrics.missingObjects(truth).map(_.trueId).sorted == Seq(1L, 4L))
+    assert(Metrics.scenesWithMissing(truth) == Seq(0L, 3L))
   }
 
   test("labelMissingTrackProposals marks only missing objects as errors") {
@@ -99,6 +116,31 @@ class MetricsSpec extends SparkSpec {
       "SELECT scene, SUM(CASE WHEN isError = 'true' THEN 1 ELSE 0 END) AS hits " +
         "FROM labeled WHERE CAST(rank AS INT) <= 2 GROUP BY scene",
       "labeled" -> labeled)
+  }
+
+  test("globalPrecisionAtK divides by n when fewer than k are ranked, and gives 0 for none") {
+    val labeled = MetricsSpec.labeledFrame(ss, Seq((0L, 1, true), (1L, 2, false), (0L, 3, true)))
+    assert(math.abs(Metrics.globalPrecisionAtK(labeled, 10) - 2.0 / 3) < 1e-12)
+    assert(math.abs(Metrics.globalPrecisionAtK(labeled, 2) - 0.5) < 1e-12)
+    assert(Metrics.globalPrecisionAtK(labeled.where(lit(false)), 10) === 0.0)
+  }
+
+  test("recallPerClassTopK cuts each class's top k by the ranking's rank on an exact score tie") {
+    val os = movingTrack(5, trueId = 1) ++ movingTrack(5, trueId = 2, y0 = 50)
+    val tracked = Association.assignTracks(toDs(os)).cache()
+    val ids = tracked.toDF().select("trackId", "trueId").distinct().collect()
+      .map(r => r.getLong(0) -> r.getLong(1)).sorted
+    assert(ids.length == 2)
+    val ((smaller, _), (larger, largerObject)) = (ids(0), ids(1))
+    // Equal scores; the ranking put the larger track id first, so only its
+    // object is within the top 1.
+    val ranked = {
+      import ss.implicits._
+      Seq((0L, larger, 0.0, Classes.Car, 1), (0L, smaller, 0.0, Classes.Car, 2)).toDF("scene", "trackId", "score", "cls", "rank")
+    }
+    val truth = truthDs(Seq(truthRow(0, largerObject, missing = true)))
+    assert(Metrics.recallPerClassTopK(ranked, tracked, truth, k = 1) == ((1L, 1L)))
+    tracked.unpersist()
   }
 
   test("recallPerClassTopK finds injected missing tracks") {

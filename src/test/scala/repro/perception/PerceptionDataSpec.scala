@@ -53,7 +53,7 @@ class PerceptionDataSpec extends SparkSpec {
   }
   test("frames are within [0, nFrames)") {
     val (_, obs) = PerceptionData.genScene(tiny, 0)
-    assert(obs.forall(o => o.frame >= 0 && o.frame < tiny.nFrames))
+    assert(obs.forall(o => o.frame >= 0 && o.frame < PerceptionData.NFrames))
   }
   test("classes are the four common classes") {
     val (_, obs) = PerceptionData.genScene(tiny, 0)
