@@ -1,8 +1,8 @@
 package repro.core
 
-import org.apache.spark.sql.{DataFrame, Dataset, Encoder, Encoders, SparkSession}
-import org.apache.spark.sql.expressions.Window
-import org.apache.spark.sql.functions.{col, desc, row_number}
+import scala.jdk.CollectionConverters._
+
+import org.apache.spark.sql.{DataFrame, Dataset, Encoder, Encoders, Row, SparkSession}
 
 /** The learned feature distributions (§5) — fitted offline from existing
   * (possibly noisy) human labels and shipped to the per-scene scoring tasks.
@@ -146,7 +146,10 @@ object Fixy {
   /** The paper's feature set (Table 2) as LOA applied features — the one
     * definition every scorer compiles into factor graphs. The "model only"
     * and "count" features are hard filters applied outside the score (see
-    * [[isMissingTrackCandidate]]), so they do not appear here.
+    * [[isMissingTrackCandidate]]), so they do not appear here. The toggles
+    * mirror the applications of §7/§8: `useDistance` adds the manual distance
+    * factor (off for §8.4), `useTrackLength` the learned track-length factor
+    * (on for §8.4), and `invert` applies the `1 − x` AOF to every factor.
     */
   def driverFeatures(
       model: LearnedModel,
@@ -198,35 +201,20 @@ object Fixy {
     }
   }
 
-  /** Rank as one list across scenes: highest score first, ties to the smaller `id`. */
-  private[repro] def rankGlobally(ranked: Dataset[_], id: String): DataFrame =
-    ranked.toDF().withColumn("rank", row_number().over(Window.orderBy(desc("score"), col(id))))
+  /** Rank as one list across scenes, on the driver (the scored rows are few):
+    * highest score first, ties to the smaller `id`. `rank` is renumbered in
+    * place, in a local frame.
+    */
+  private[repro] def rankGlobally(ranked: Dataset[_], id: String): DataFrame = {
+    val df = ranked.toDF()
+    val Seq(score, key, rank) = Seq("score", id, "rank").map(df.schema.fieldIndex)
+    val rows = df.collect().sortBy(r => (-r.getDouble(score), r.getLong(key))).zipWithIndex
+      .map { case (r, i) => Row.fromSeq(r.toSeq.updated(rank, i + 1)) }
+    df.sparkSession.createDataFrame(rows.toSeq.asJava, df.schema)
+  }
 
   /** Eq. 2 over a track's factor graph, as a ranking severity. */
-  private def eq2(features: Seq[Loa.AppliedFeature]): Loa.Track => Double = FactorGraph.compileTrack(_, features).score
-
-  /** Score every track of `tracked` per Eq. 2.
-    *
-    * Feature set toggles mirror the applications of §7/§8:
-    *  - `useDistance` — include the manual distance severity factor (off for
-    *     the model-error application, §8.4).
-    *  - `useTrackLength` — include the learned track-length factor (on for
-    *     the model-error application).
-    *  - `invert` — apply the `1 − x` AOF to every learned factor (searching
-    *     for unlikely tracks).
-    *
-    * Output columns: scene, trackId, score, nObs, nHuman, nModel, nFrames,
-    * meanConf, maxConf, cls.
-    */
-  def scoreTracks(
-      tracked: Dataset[TrackedObs],
-      model: LearnedModel,
-      cfg: FixyConfig = FixyConfig(),
-      useDistance: Boolean = true,
-      useTrackLength: Boolean = false,
-      invert: Boolean = false,
-  )(implicit spark: SparkSession): DataFrame =
-    rankTracks(tracked, _ => true)(eq2(driverFeatures(model, cfg, useDistance, useTrackLength, invert))).toDF().drop("rank")
+  private[repro] def eq2(features: Seq[Loa.AppliedFeature]): Loa.Track => Double = FactorGraph.compileTrack(_, features).score
 
   // --------------------------------------------------------------------------
   // Application 1 (§7, §8.2): finding tracks missed entirely by human labels.

@@ -56,18 +56,16 @@ object Experiments {
         "fixy" -> Fixy.rankMissingTracks(tracked, learned, cfg),
         "ma-conf" -> ModelAssertions.consistency(tracked, "conf", cfg.minTrackObs),
       ) ++ randSeeds.map(s => s"ma-rand-$s" -> ModelAssertions.consistency(tracked, "rand", cfg.minTrackObs, seed = s))
-      val labeled = Metrics.labelMissingTrackProposals(byMethod(rankings), tracked, truth).cache()
-      try {
-        val scenes = Metrics.scenesWithMissing(truth)
-        def p(method: String)(k: Int): Double = Metrics.precisionAtK(of(labeled, method), scenes, k)
-        def row(name: String, pAt: Int => Double) = Table3Row(name, dataset, pAt(10), pAt(5), pAt(1))
-        val rows = Seq(
-          row("FIXY", p("fixy")),
-          row("Ad-hoc MA (rand)", k => randSeeds.map(s => p(s"ma-rand-$s")(k)).sum / randSeeds.size),
-          row("Ad-hoc MA (conf)", p("ma-conf")),
-        )
-        (rows, Metrics.sceneCoverageAtK(of(labeled, "fixy"), scenes, 10))
-      } finally labeled.unpersist()
+      val labeled = Metrics.labelMissingTrackProposals(byMethod(rankings), tracked, truth)
+      val scenes = Metrics.scenesWithMissing(truth)
+      def p(method: String)(k: Int): Double = Metrics.precisionAtK(of(labeled, method), scenes, k)
+      def row(name: String, pAt: Int => Double) = Table3Row(name, dataset, pAt(10), pAt(5), pAt(1))
+      val rows = Seq(
+        row("FIXY", p("fixy")),
+        row("Ad-hoc MA (rand)", k => randSeeds.map(s => p(s"ma-rand-$s")(k)).sum / randSeeds.size),
+        row("Ad-hoc MA (conf)", p("ma-conf")),
+      )
+      (rows, Metrics.sceneCoverageAtK(of(labeled, "fixy"), scenes, 10))
     }
 
   /** Table 3 (§8.2): both datasets, all three methods. */
@@ -92,9 +90,8 @@ object Experiments {
   def missingObsExperiment(implicit spark: SparkSession): MissingObsResult =
     onEval(PerceptionData.internalTrain, PerceptionData.missingObsSim) { (learned, tracked, truth) =>
       val ranked = Fixy.rankGlobally(Fixy.rankMissingObservations(tracked, learned, cfg), "bundleId")
-      val labeled = Metrics.labelMissingObsProposals(ranked, tracked, truth).cache()
-      try MissingObsResult(Metrics.goodObservationRank(labeled), labeled.count())
-      finally labeled.unpersist()
+      val labeled = Metrics.labelMissingObsProposals(ranked, tracked, truth)
+      MissingObsResult(Metrics.goodObservationRank(labeled), labeled.count())
     }
 
   /** §8.4: model-error finding with no human labels — Fixy (inverted AOF,
@@ -112,9 +109,8 @@ object Experiments {
         "fixy" -> Fixy.rankModelErrors(tracked, learned, cfg, excludedTrackIds = flagged),
         "uncertainty" -> Uncertainty.rankTracks(tracked),
       )
-      val labeled = Metrics.labelModelErrorProposals(byMethod(rankings, "maxConf"), tracked).cache()
-      try ModelErrorsResult(Metrics.globalPrecisionAtK(of(labeled, "fixy"), 10),
+      val labeled = Metrics.labelModelErrorProposals(byMethod(rankings, "maxConf"), tracked)
+      ModelErrorsResult(Metrics.globalPrecisionAtK(of(labeled, "fixy"), 10),
         Metrics.globalPrecisionAtK(of(labeled, "uncertainty"), 10), Metrics.maxConfAmongHits(of(labeled, "fixy"), 10))
-      finally labeled.unpersist()
     }
 }

@@ -7,7 +7,7 @@ import org.apache.spark.sql.functions.col
 
 import repro.baselines.{ModelAssertions, Uncertainty}
 import repro.core.{Association, Fixy, FixyConfig, Sources}
-import repro.eval.Metrics
+import repro.eval.{Experiments, Metrics}
 import repro.perception.{DatasetSpec, PerceptionData}
 
 /** Writes every ranking the experiments rank, with the auditor's label of each
@@ -21,6 +21,10 @@ import repro.perception.{DatasetSpec, PerceptionData}
   * `lyftEval` and `internalAudit`; Fixy's §8.3 bundles on `missingObsSim`;
   * the §8.4 flagged set, Fixy's model errors and uncertainty sampling on the
   * model observations of `modelErrorSim`.
+  *
+  * Then the [[repro.eval.Experiments]] results, at full precision: each
+  * Table 3 row and the lyft scene coverage, §8.2 recall, §8.3 and §8.4.
+  * Only public APIs are called, so the dump runs on older versions as well.
   *
   * Run: `sbt "Test/runMain repro.RankingDump <out.tsv>"`
   */
@@ -64,6 +68,13 @@ object RankingDump {
       dump("model-errors/fixy", label(Fixy.rankModelErrors(tracked, learned, cfg, excludedTrackIds = flagged)), "trackId", "score")
       dump("model-errors/uncertainty", label(Uncertainty.rankTracks(tracked)), "trackId", "severity")
       tracked.unpersist()
+
+      val table3 = Experiments.table3
+      table3.rows.foreach(r => out.println(s"experiments/table3\t${r.method}\t${r.dataset}\t${r.p10}\t${r.p5}\t${r.p1}"))
+      out.println(s"experiments/table3\tlyft-scene-coverage\t${table3.lyftSceneCoverage}")
+      out.println(s"experiments/recall\t${Experiments.recallExperiment}")
+      out.println(s"experiments/missing-obs\t${Experiments.missingObsExperiment}")
+      out.println(s"experiments/model-errors\t${Experiments.modelErrorsExperiment}")
     } finally {
       out.close()
       spark.stop()

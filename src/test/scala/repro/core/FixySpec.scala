@@ -75,11 +75,11 @@ class FixySpec extends SparkSpec {
     val columns = Seq("trackId", "score", "nObs", "nHuman", "nModel", "nFrames", "meanConf", "maxConf", "cls")
     def byTrack(df: DataFrame) =
       df.select(columns.map(col): _*).collect().map(r => r.getLong(0) -> r).toMap
-    val sparkRows = byTrack(Fixy.scoreTracks(tracked, learned, cfg, useDistance, useTrackLength, invert))
+    val features = Fixy.driverFeatures(learned, cfg, useDistance, useTrackLength, invert)
+    val sparkRows = byTrack(Fixy.rankTracks(tracked, _ => true)(Fixy.eq2(features)).toDF())
     val refRows = byTrack(DataFrameReference.scoreTracks(tracked, learned, cfg, useDistance, useTrackLength, invert))
 
     val rows = tracked.collect().toSeq
-    val features = Fixy.driverFeatures(learned, cfg, useDistance, useTrackLength, invert)
     val driverScores = Loa.fromTracked(rows).flatMap(_.tracks.map { t =>
       t.trackId -> FactorGraph.compileTrack(t, features).score
     }).toMap
@@ -222,6 +222,22 @@ class FixySpec extends SparkSpec {
       assert(df.select("scene").distinct().collect().map(_.getLong(0)).toSet == scenes, name)
     tracked.unpersist()
   }
+  test("a class missing from training scores with the pooled KDEs") {
+    val noPedestrians = Fixy.learn(PerceptionData.observations(trainSpec).filter(_.cls != Classes.Pedestrian), cfg)
+    assert(!noPedestrians.volumeByClass.contains(Classes.Pedestrian))
+    assert(!noPedestrians.velocityByClass.contains(Classes.Pedestrian))
+    for (x <- Seq(0.0, 0.3, 1.1, 1.4, 5.0, 14.5, 70.0)) {
+      assert(noPedestrians.volumeLik(Classes.Pedestrian, x) == noPedestrians.volumePooled.likelihood(x), s"volume $x")
+      assert(noPedestrians.velocityLik(Classes.Pedestrian, x) == noPedestrians.velocityPooled.likelihood(x), s"speed $x")
+    }
+    // A model-only pedestrian walking at 1.4 m/s (5 fps): a §8.2 candidate.
+    val walker = (0 until 6).map(f =>
+      TestObs.obs(frame = f, cls = Classes.Pedestrian, x = 10 + 0.28 * f, l = 0.8, w = 0.8, h = 1.75))
+    val scores = Fixy.rankMissingTracks(Association.assignTracks(toDs(walker), cfg.assoc), noPedestrians, cfg)
+      .select("score").collect().map(_.getDouble(0))
+    assert(scores.length == 1)
+    assert(java.lang.Double.isFinite(scores.head) && scores.head > math.log(FactorGraph.Eps), scores.head)
+  }
   test("learn on human tracks of single observations fails for want of velocities") {
     // Frames further apart than maxGap: every observation is its own track.
     val singles = (0 until 3).map(i => TestObs.obs(frame = 10 * i, source = Sources.Human, trueId = i, conf = 1.0))
@@ -341,7 +357,7 @@ class FixySpec extends SparkSpec {
   test("scores are finite for every track") {
     val spec = PerceptionData.internalTrain.copy(nScenes = 2)
     val tracked = Association.assignTracks(PerceptionData.observations(spec), cfg.assoc)
-    val scores = Fixy.scoreTracks(tracked, learned, cfg).select("score").collect().map(_.getDouble(0))
+    val scores = Fixy.rankTracks(tracked, _ => true)(Fixy.eq2(Fixy.driverFeatures(learned, cfg))).collect().map(_.score)
     assert(scores.nonEmpty)
     assert(scores.forall(s => !s.isNaN && !s.isInfinity))
   }
@@ -353,8 +369,8 @@ class FixySpec extends SparkSpec {
     }
     val tracked = Association.assignTracks(toDs(plausible ++ implausible), cfg.assoc).cache()
     def scores(invert: Boolean): Map[String, Double] =
-      Fixy.scoreTracks(tracked, learned, cfg, useDistance = false, invert = invert)
-        .select("cls", "score").collect().map(r => r.getString(0) -> r.getDouble(1)).toMap
+      Fixy.rankTracks(tracked, _ => true)(Fixy.eq2(Fixy.driverFeatures(learned, cfg, useDistance = false, invert = invert)))
+        .collect().map(t => t.cls -> t.score).toMap
     val id = scores(invert = false)
     val inv = scores(invert = true)
     assert(id(Classes.Car) > id(Classes.Pedestrian))
