@@ -35,35 +35,12 @@ object FactorGraph {
   }
 
   /** Compile one track against a feature set (§4.3): one factor per
-    * (obs feature × obs), (bundle feature × bundle), (transition feature ×
-    * adjacent bundle pair), (track feature × track).
+    * instance of each feature ([[Loa.instances]]), valued `aof(likelihood)`.
     */
-  def compileTrack(track: Track, features: Seq[AppliedFeature]): Compiled = {
-    // Observations and bundles are indexed by position, so equal observations
-    // or bundles in one track stay distinct variables.
-    val bundles = track.bundles.toIndexedSeq
-    val obs = bundles.flatMap(_.obs)
-    val start = bundles.scanLeft(0)(_ + _.obs.size)
-    def members(b: Int): Seq[Int] = start(b) until start(b + 1)
-    val ordered = bundles.indices.sortBy(bundles(_).frame)
-    val factors = Seq.newBuilder[Factor]
-
-    features.foreach {
-      case f: ObsFeature =>
-        obs.indices.foreach(i => factors += Factor(f.name, Seq(i), f.aof(f.likelihood(obs(i)))))
-      case f: BundleFeature =>
-        ordered.foreach(b => factors += Factor(f.name, members(b), f.aof(f.likelihood(bundles(b)))))
-      case f: TransitionFeature =>
-        ordered.sliding(2).foreach {
-          case Seq(prev, next) if bundles(next).frame > bundles(prev).frame =>
-            factors += Factor(f.name, members(prev) ++ members(next), f.aof(f.likelihood(bundles(prev), bundles(next))))
-          case _ => // same-frame pair or singleton track: no transition factor
-        }
-      case f: TrackFeature =>
-        factors += Factor(f.name, obs.indices, f.aof(f.likelihood(track)))
-    }
-    Compiled(obs, factors.result())
-  }
+  def compileTrack(track: Track, features: Seq[AppliedFeature]): Compiled =
+    Compiled(track.allObs, features.flatMap { f =>
+      Loa.instances(track, f.feature).map(i => Factor(f.feature.name, i.members, f.aof(f.likelihood(i.cls, i.value))))
+    })
 
   /** Eq. 2 score of `track.bundles(b)` over its incoming factors in
     * `compiled`, the track's compiled graph: the factors that touch the
@@ -72,8 +49,7 @@ object FactorGraph {
     * but not the transition to its successor (the §8.3 bundle score).
     */
   def scoreBundle(track: Track, compiled: Compiled, b: Int): Double = {
-    val start = track.bundles.iterator.take(b).map(_.obs.size).sum
-    val own = start until start + track.bundles(b).obs.size
+    val own = track.members(b)
     val frame = track.bundles(b).frame
     Compiled(compiled.obs, compiled.factors.filter { f =>
       f.memberObs.exists(own.contains) && f.memberObs.forall(compiled.obs(_).frame <= frame)

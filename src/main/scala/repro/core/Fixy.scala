@@ -4,36 +4,21 @@ import scala.jdk.CollectionConverters._
 
 import org.apache.spark.sql.{DataFrame, Dataset, Encoder, Encoders, Row, SparkSession}
 
-/** The learned feature distributions (§5) — fitted offline from existing
-  * (possibly noisy) human labels and shipped to the per-scene scoring tasks.
-  *
-  * Classes with too few training examples fall back to the pooled (all-class)
-  * distribution so an unseen class never crashes scoring.
+/** A class-conditional learned distribution (§5.2): a KDE per class with
+  * enough training samples, and the pooled (all-class) KDE that every other
+  * class, and a feature without classes, falls back to, so an unseen class
+  * never crashes scoring.
   */
-final case class LearnedModel(
-    volumeByClass: Map[String, Kde],
-    velocityByClass: Map[String, Kde],
-    volumePooled: Kde,
-    velocityPooled: Kde,
-    trackLength: Kde,
-    distanceScale: Double,
-) extends Serializable {
-  /** Class-conditional box-volume likelihood (Table 2 "Volume"). */
-  def volumeLik(cls: String, vol: Double): Double =
-    volumeByClass.getOrElse(cls, volumePooled).likelihood(vol)
-
-  /** Class-conditional instantaneous-speed likelihood (Table 2 "Velocity"). */
-  def velocityLik(cls: String, speed: Double): Double =
-    velocityByClass.getOrElse(cls, velocityPooled).likelihood(speed)
-
-  /** Manual severity distribution over distance-to-AV (Table 2 "Distance"). */
-  def distanceLik(d: Double): Double = math.exp(-d / distanceScale)
-
-  /** Learned track-length likelihood (§8.4 "track feature over the total
-    * number of observations").
-    */
-  def trackLengthLik(nObs: Double): Double = trackLength.likelihood(nObs)
+final case class ClassKde(byClass: Map[String, Kde], pooled: Kde) {
+  def likelihood(cls: Option[String], value: Double): Double =
+    cls.flatMap(byClass.get).getOrElse(pooled).likelihood(value)
 }
+
+/** The learned feature distributions (§5), by feature name — fitted offline
+  * from existing (possibly noisy) human labels and shipped to the per-scene
+  * scoring tasks.
+  */
+final case class LearnedModel(byFeature: Map[String, ClassKde])
 
 /** Pipeline configuration; defaults follow §3/§8. */
 final case class FixyConfig(
@@ -97,53 +82,48 @@ object Fixy {
   // Offline phase: learn feature distributions from existing human labels (§5.2).
   // --------------------------------------------------------------------------
 
-  /** One training value of a learned distribution: `kind` is "volume",
-    * "speed" or "length"; `cls` is empty for lengths.
-    */
-  private[core] final case class Sample(kind: String, cls: String, value: Double)
+  /** One training value: an instance of the learned feature `feature`. */
+  private[core] final case class Sample(feature: String, cls: Option[String], value: Double)
 
-  /** Fit volume/velocity/track-length distributions from the human-proposed
-    * labels in `obs`. Labels may themselves contain errors — the paper's point
-    * is that the aggregate distributions are still informative.
+  // Table 2's features π, each defined once for learning and scoring. A
+  // transition instance advances the frame, so its speed is defined.
+  private val volume = Loa.ObsFeature("volume", _.volume)
+  private val distance = Loa.ObsFeature("distance", _.distanceToAv)
+  private def velocity(cfg: FixyConfig) = Loa.TransitionFeature("velocity", Loa.transitionSpeed(_, _, cfg.fps).get)
+  private val count = Loa.TrackFeature("count", _.nObs.toDouble)
+
+  /** The features whose distributions [[learn]] fits; distance's is manual. */
+  private def learnedFeatures(cfg: FixyConfig): Seq[Loa.Feature] = Seq(volume, velocity(cfg), count)
+
+  /** Fit the learned features' distributions from the human-proposed labels
+    * in `obs`. Labels may themselves contain errors — the paper's point is
+    * that the aggregate distributions are still informative.
     *
-    * One task per scene associates the scene's human labels and emits a volume
-    * per observation, a speed per transition and a length per track; the
-    * samples are collected once and fitted on the driver.
+    * One task per scene associates the scene's human labels and emits every
+    * instance ([[Loa.instances]]) of every learned feature; the samples are
+    * collected once and fitted on the driver: a KDE per class with at least
+    * `minClassSamples` samples, plus the pooled KDE.
     */
   def learn(obs: Dataset[Obs], cfg: FixyConfig = FixyConfig())(implicit spark: SparkSession): LearnedModel = {
     import spark.implicits._
+    val features = learnedFeatures(cfg)
     val samples = obs.filter(_.source == Sources.Human).groupByKey(_.scene).flatMapGroups { (_, rows) =>
       Loa.fromTracked(Association.assignScene(rows.toSeq, cfg.assoc)).flatMap(_.tracks).flatMap { t =>
-        t.allObs.map(o => Sample("volume", o.cls, o.volume)) ++
-          t.bundles.sliding(2).flatMap {
-            case Seq(p, n) => Loa.transitionSpeed(p, n, cfg.fps).map(Sample("speed", n.cls, _))
-            case _         => None
-          } :+
-          Sample("length", "", t.nObs.toDouble)
+        features.flatMap(f => Loa.instances(t, f).map(i => Sample(f.name, i.cls, i.value)))
       }
-    }.collect().toSeq.groupBy(_.kind).withDefaultValue(Seq.empty)
+    }.collect().toSeq.groupBy(_.feature)
 
-    val volumes = samples("volume")
-    val speeds = samples("speed")
-    require(volumes.nonEmpty, "no human labels to learn volume distribution from")
-    require(speeds.nonEmpty, "no human tracks to learn velocity distribution from")
-
-    def byClass(ss: Seq[Sample]): Map[String, Kde] =
-      ss.groupBy(_.cls).collect {
-        case (c, vs) if vs.size >= cfg.minClassSamples => c -> Kde.fit(vs.map(_.value))
+    LearnedModel(features.map { f =>
+      val fs = samples.getOrElse(f.name, Seq.empty)
+      require(fs.nonEmpty, s"no human labels to learn the ${f.name} distribution from")
+      val byClass = fs.groupBy(_.cls).collect {
+        case (Some(c), vs) if vs.size >= cfg.minClassSamples => c -> Kde.fit(vs.map(_.value))
       }
-
-    LearnedModel(
-      volumeByClass = byClass(volumes),
-      velocityByClass = byClass(speeds),
-      volumePooled = Kde.fit(volumes.map(_.value)),
-      velocityPooled = Kde.fit(speeds.map(_.value)),
-      trackLength = Kde.fit(samples("length").map(_.value)),
-      distanceScale = cfg.distanceScale,
-    )
+      f.name -> ClassKde(byClass, Kde.fit(fs.map(_.value)))
+    }.toMap)
   }
 
-  /** The paper's feature set (Table 2) as LOA applied features — the one
+  /** The paper's feature set (Table 2) as LOA feature distributions — the one
     * definition every scorer compiles into factor graphs. The "model only"
     * and "count" features are hard filters applied outside the score (see
     * [[isMissingTrackCandidate]]), so they do not appear here. The toggles
@@ -159,17 +139,13 @@ object Fixy {
       invert: Boolean = false,
   ): Seq[Loa.AppliedFeature] = {
     val aof: Aof = if (invert) Aof.Invert else Aof.Identity
-    val volume = Loa.ObsFeature("volume", aof, o => model.volumeLik(o.cls, o.volume))
-    val distance = Loa.ObsFeature("distance", aof, o => model.distanceLik(o.distanceToAv))
-    val velocity = Loa.TransitionFeature("velocity", aof, (p, n) =>
-      Loa.transitionSpeed(p, n, cfg.fps)
-        .map(s => model.velocityLik(n.cls, s))
-        .getOrElse(1.0))
-    val length = Loa.TrackFeature("count", aof, t => model.trackLengthLik(t.nObs.toDouble))
-    Seq(volume) ++
-      (if (useDistance) Seq(distance) else Seq.empty) ++
-      Seq(velocity) ++
-      (if (useTrackLength) Seq(length) else Seq.empty)
+    def learned(f: Loa.Feature) = Loa.AppliedFeature(f, aof, model.byFeature(f.name).likelihood)
+    // Manual severity distribution over distance-to-AV (Table 2 "Distance").
+    val manualDistance = Loa.AppliedFeature(distance, aof, (_, d) => math.exp(-d / cfg.distanceScale))
+    Seq(learned(volume)) ++
+      (if (useDistance) Seq(manualDistance) else Seq.empty) ++
+      Seq(learned(velocity(cfg))) ++
+      (if (useTrackLength) Seq(learned(count)) else Seq.empty)
   }
 
   // --------------------------------------------------------------------------

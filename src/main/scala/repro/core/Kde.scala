@@ -12,6 +12,12 @@ package repro.core
   * worked example, where feature "scores" are probabilities like 0.37, and
   * makes the `1 − x` application objective function (§5.3) well defined.
   *
+  * Degenerate training data degrades to a spike: constant values (one box
+  * size, one speed, one track length) fit the bandwidth floor, 1e-3, so the
+  * value itself has likelihood ~1 and a value a few multiples of the floor
+  * away has likelihood ~0, which Eq. 2 floors at [[FactorGraph.Eps]]: scores
+  * stay finite.
+  *
   * Instances are immutable and serializable, so a map of fitted KDEs can be
   * shipped to the Spark tasks that score scenes.
   */
@@ -43,10 +49,12 @@ object Kde {
   val DefaultMaxSamples = 2000
 
   /** Robust Silverman rule-of-thumb bandwidth: 1.06 · min(σ, IQR/1.34) ·
-    * n^(−1/5), floored so constant data stays usable. The IQR term keeps the
-    * bandwidth sane when the training labels contain outliers (e.g. centroid
-    * jumps from occasionally merged tracks) — which is exactly the "noisy
-    * existing labels" regime the paper learns from.
+    * n^(−1/5), floored at an absolute 1e-3 so constant data stays usable. The
+    * IQR term keeps the bandwidth sane when the training labels contain
+    * outliers (e.g. centroid jumps from occasionally merged tracks) — which is
+    * exactly the "noisy existing labels" regime the paper learns from. The
+    * floor does not depend on where the values lie, so the fit commutes with
+    * translation.
     */
   def silvermanBandwidth(values: Seq[Double]): Double = {
     val n = values.length
@@ -57,8 +65,7 @@ object Kde {
     val sorted = values.sorted
     val iqr = sorted((0.75 * (n - 1)).toInt) - sorted((0.25 * (n - 1)).toInt)
     val spread = if (iqr > 0) math.min(sigma, iqr / 1.34) else sigma
-    val scale = math.max(math.abs(mean), 1.0)
-    math.max(1.06 * spread * math.pow(n.toDouble, -0.2), 1e-3 * scale)
+    math.max(1.06 * spread * math.pow(n.toDouble, -0.2), 1e-3)
   }
 
   /** Exact sum-of-Gaussians density at x of `samples` with bandwidth `h`. */

@@ -1,8 +1,8 @@
 package repro.core
 
 /** The LOA DSL (§4): scenes, tracks, observation bundles, observations (OBTs),
-  * features over each level, feature distributions, and the applied-feature
-  * form that [[FactorGraph]] compiles to factors.
+  * features over each level and their instances in a track, and the feature
+  * distributions that [[FactorGraph]] compiles to factors.
   *
   * This object model is the semantics of LOA that [[Fixy]] runs: its Spark
   * jobs rebuild each scene with [[fromTracked]] and score it through
@@ -25,14 +25,22 @@ object Loa {
     def cls: String = obs.map(_.cls).min
   }
 
-  /** Track τ: bundles ordered by frame. */
-  final case class Track(trackId: Long, bundles: Seq[Bundle]) {
-    def allObs: Seq[Obs] = bundles.flatMap(_.obs)
+  /** Track τ: bundles ordered by frame. Its observations and bundles are
+    * indexed by position, so equal ones stay distinct factor-graph variables;
+    * the index is built once per track.
+    */
+  final case class Track(trackId: Long, bundles: IndexedSeq[Bundle]) {
+    lazy val allObs: IndexedSeq[Obs] = bundles.flatMap(_.obs)
     def nObs: Int = allObs.size
     def hasSource(s: String): Boolean = allObs.exists(_.source == s)
     /** The model observations' confidences, and their mean (None without any). */
     def modelConf: Seq[Double] = allObs.filter(_.source == Sources.Model).map(_.conf)
     def meanConf: Option[Double] = Option(modelConf).filter(_.nonEmpty).map(c => c.sum / c.size)
+    private lazy val start = bundles.scanLeft(0)(_ + _.obs.size)
+    /** The positions in `allObs` of bundle `b`'s observations. */
+    def members(b: Int): Seq[Int] = start(b) until start(b + 1)
+    /** Bundle positions in frame order. */
+    lazy val frameOrder: IndexedSeq[Int] = bundles.indices.sortBy(bundles(_).frame)
   }
 
   /** Scene s: a set of tracks. */
@@ -46,34 +54,64 @@ object Loa {
       val tracks = sceneRows.groupBy(_.trackId).toSeq.sortBy(_._1).map { case (tid, trackRows) =>
         val bundles = trackRows.groupBy(_.bundleId).toSeq.sortBy { case (bid, rs) => (rs.head.frame, bid) }
           .map { case (bid, rs) => Bundle(bid, rs.head.frame, rs.sortBy(o => (o.source, o.trueId, o.x)).map(_.toObs)) }
-        Track(tid, bundles)
+        Track(tid, bundles.toIndexedSeq)
       }
       Scene(sceneId, tracks)
     }
 
   // --------------------------------------------------------------------------
-  // Feature distributions (§5): a feature (π) composed with a learned or
-  // manual distribution, plus an AOF (§5.3). `likelihood` returns the
-  // distribution's (max-normalized) probability of the feature value.
+  // Features and feature distributions (§5): a feature π maps an observation,
+  // bundle, adjacent bundle pair or track to a value; a feature distribution
+  // is π composed with a learned or manual distribution, plus an AOF (§5.3).
   // --------------------------------------------------------------------------
 
-  sealed trait AppliedFeature extends Serializable {
+  /** A feature π over one level of the LOA hierarchy. */
+  sealed trait Feature extends Serializable {
     def name: String
-    def aof: Aof
   }
 
-  /** Feature over a single observation, e.g. class-conditional box volume. */
-  final case class ObsFeature(name: String, aof: Aof, likelihood: Obs => Double) extends AppliedFeature
+  /** Feature over a single observation, e.g. box volume. */
+  final case class ObsFeature(name: String, value: Obs => Double) extends Feature
 
   /** Feature over an observation bundle, e.g. "model predictions only". */
-  final case class BundleFeature(name: String, aof: Aof, likelihood: Bundle => Double) extends AppliedFeature
+  final case class BundleFeature(name: String, value: Bundle => Double) extends Feature
 
   /** Feature over adjacent bundles in a track, e.g. instantaneous velocity. */
-  final case class TransitionFeature(name: String, aof: Aof, likelihood: (Bundle, Bundle) => Double)
-      extends AppliedFeature
+  final case class TransitionFeature(name: String, value: (Bundle, Bundle) => Double) extends Feature
 
   /** Feature over an entire track, e.g. observation count. */
-  final case class TrackFeature(name: String, aof: Aof, likelihood: Track => Double) extends AppliedFeature
+  final case class TrackFeature(name: String, value: Track => Double) extends Feature
+
+  /** One instance of a feature in a track: the positions of its member
+    * observations in the track's bundle-ordered observations, π's value, and
+    * the class its distribution is conditioned on. That class is the
+    * observation's, the bundle's, or the later bundle's for a transition; a
+    * track instance has none.
+    */
+  final case class Instance(members: Seq[Int], value: Double, cls: Option[String])
+
+  /** A feature's instances in `track` (§4.3): one per observation, one per
+    * bundle and one per frame-advancing adjacent bundle pair, in frame order,
+    * or one for the whole track. A same-frame pair has no transition instance.
+    */
+  def instances(track: Track, feature: Feature): Seq[Instance] = {
+    import track.{allObs => obs, bundles, frameOrder, members}
+    feature match {
+      case f: ObsFeature    => obs.indices.map(i => Instance(Seq(i), f.value(obs(i)), Some(obs(i).cls)))
+      case f: BundleFeature => frameOrder.map(b => Instance(members(b), f.value(bundles(b)), Some(bundles(b).cls)))
+      case f: TransitionFeature =>
+        frameOrder.sliding(2).collect {
+          case Seq(p, n) if bundles(n).frame > bundles(p).frame =>
+            Instance(members(p) ++ members(n), f.value(bundles(p), bundles(n)), Some(bundles(n).cls))
+        }.toSeq
+      case f: TrackFeature => Seq(Instance(obs.indices, f.value(track), None))
+    }
+  }
+
+  /** A feature distribution with its AOF: `likelihood(cls, value)` is the
+    * distribution's (max-normalized) probability of an instance's value.
+    */
+  final case class AppliedFeature(feature: Feature, aof: Aof, likelihood: (Option[String], Double) => Double)
 
   /** Instantaneous speed (m/s) between bundle representatives — the paper's
     * canonical transition feature. Returns None for same-frame bundle pairs

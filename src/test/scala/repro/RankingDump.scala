@@ -2,11 +2,11 @@ package repro
 
 import java.io.PrintWriter
 
-import org.apache.spark.sql.{DataFrame, SparkSession}
+import org.apache.spark.sql.{DataFrame, Dataset, SparkSession}
 import org.apache.spark.sql.functions.col
 
 import repro.baselines.{ModelAssertions, Uncertainty}
-import repro.core.{Association, Fixy, FixyConfig, Sources}
+import repro.core.{Association, FactorGraph, Fixy, FixyConfig, LearnedModel, Loa, Sources, TrackedObs}
 import repro.eval.{Experiments, Metrics}
 import repro.perception.{DatasetSpec, PerceptionData}
 
@@ -21,6 +21,11 @@ import repro.perception.{DatasetSpec, PerceptionData}
   * `lyftEval` and `internalAudit`; Fixy's §8.3 bundles on `missingObsSim`;
   * the §8.4 flagged set, Fixy's model errors and uncertainty sampling on the
   * model observations of `modelErrorSim`.
+  *
+  * Every factor of every `internalAudit` track under the three feature sets
+  * (§8.2, §8.4, and volume + velocity only): scene, track id, factor name,
+  * member observation positions and the full-precision value, in compiled
+  * order.
   *
   * Then the [[repro.eval.Experiments]] results, at full precision: each
   * Table 3 row and the lyft scene coverage, §8.2 recall, §8.3 and §8.4.
@@ -39,6 +44,15 @@ object RankingDump {
         .map(r => (r.getLong(0), r.getInt(2), r.getLong(1), r.getDouble(3), r.getLong(4), r.getBoolean(5))).sorted
         .foreach { case (scene, rank, i, s, maj, err) => out.println(s"$ranking\t$scene\t$i\t$rank\t$s\t$maj\t$err") }
     def learn(train: DatasetSpec) = Fixy.learn(PerceptionData.observations(train), cfg)
+    def dumpFactors(dataset: String, learned: LearnedModel, tracked: Dataset[TrackedObs]): Unit = {
+      val tracks = Loa.fromTracked(tracked.collect().toSeq).flatMap(s => s.tracks.map(s.scene -> _))
+      for ((set, features) <- Seq(
+          "missing-tracks" -> Fixy.driverFeatures(learned, cfg),
+          "model-errors" -> Fixy.driverFeatures(learned, cfg, useDistance = false, useTrackLength = true, invert = true),
+          "volume-velocity" -> Fixy.driverFeatures(learned, cfg, useDistance = false));
+          (scene, t) <- tracks; f <- FactorGraph.compileTrack(t, features).factors)
+        out.println(s"$dataset/factors/$set\t$scene\t${t.trackId}\t${f.name}\t${f.memberObs.mkString(",")}\t${f.value}")
+    }
     try {
       for ((train, eval) <- Seq(
           PerceptionData.lyftTrain -> PerceptionData.lyftEval,
@@ -52,6 +66,7 @@ object RankingDump {
         for (seed <- 1L to 5L)
           dump(s"${eval.name}/ma-rand-$seed", label(ModelAssertions.consistency(tracked, "rand", cfg.minTrackObs, seed)),
             "trackId", "severity")
+        if (eval == PerceptionData.internalAudit) dumpFactors(eval.name, learned, tracked)
         tracked.unpersist()
         truth.unpersist()
       }

@@ -4,14 +4,26 @@ import org.apache.spark.sql.{DataFrame, Dataset, SparkSession}
 import org.apache.spark.sql.expressions.Window
 import org.apache.spark.sql.functions._
 
-/** The DataFrame formulation of Fixy's scorers: Table 2's features as
-  * broadcast-model UDFs, transitions as a `lag` window, Eq. 2 as `groupBy`
-  * aggregations and joins. It shares only the learned model's likelihoods
-  * with [[Fixy]]'s per-scene factor-graph pass, so the differential tests in
-  * `FixySpec` hold two independent formulations to the same scores.
+/** The DataFrame formulation of Fixy's scorers: Table 2's features π as
+  * Spark columns, their learned likelihoods as broadcast-KDE UDFs,
+  * transitions as a `lag` window, Eq. 2 as `groupBy` aggregations and joins.
+  * It shares only the learned KDEs' lookups with [[Fixy]]'s per-scene
+  * factor-graph pass, so the differential tests in `FixySpec` hold two
+  * independent formulations to the same scores.
   */
 object DataFrameReference {
   import FactorGraph.Eps
+
+  /** `model`'s likelihood of a (class, value) of the learned feature
+    * `feature`, as a UDF; a null class is an instance without one.
+    */
+  private def likelihoodUdf(model: LearnedModel, feature: String)(implicit spark: SparkSession) = {
+    val kde = spark.sparkContext.broadcast(model.byFeature(feature))
+    udf((cls: String, v: Double) => kde.value.likelihood(Option(cls), v))
+  }
+
+  /** The manual distance distribution (Table 2 "Distance"). */
+  private def distanceUdf(cfg: FixyConfig) = udf((d: Double) => math.exp(-d / cfg.distanceScale))
 
   /** Per-bundle representative centers + the speed to the previous bundle of
     * the same track (the transition feature's raw value). `bcls` is the
@@ -56,11 +68,8 @@ object DataFrameReference {
       useTrackLength: Boolean = false,
       invert: Boolean = false,
   )(implicit spark: SparkSession): DataFrame = {
-    val bc = spark.sparkContext.broadcast(model)
-    val volLikU = udf((cls: String, v: Double) => bc.value.volumeLik(cls, v))
-    val distLikU = udf((d: Double) => bc.value.distanceLik(d))
-    val velLikU = udf((cls: String, s: Double) => bc.value.velocityLik(cls, s))
-    val lenLikU = udf((n: Double) => bc.value.trackLengthLik(n))
+    val (volLikU, distLikU, velLikU) = (likelihoodUdf(model, "volume"), distanceUdf(cfg), likelihoodUdf(model, "velocity"))
+    val lenLikU = likelihoodUdf(model, "count")
     def aof(p: org.apache.spark.sql.Column): org.apache.spark.sql.Column =
       if (invert) lit(1.0) - p else p
     def lnF(p: org.apache.spark.sql.Column): org.apache.spark.sql.Column =
@@ -98,7 +107,7 @@ object DataFrameReference {
     val withLen =
       if (useTrackLength)
         joined
-          .withColumn("lenLog", lnF(lenLikU(col("nObs").cast("double"))))
+          .withColumn("lenLog", lnF(lenLikU(lit(null).cast("string"), col("nObs").cast("double"))))
           .withColumn("nLenFactors", lit(1L))
       else joined.withColumn("lenLog", lit(0.0)).withColumn("nLenFactors", lit(0L))
 
@@ -121,10 +130,7 @@ object DataFrameReference {
       model: LearnedModel,
       cfg: FixyConfig = FixyConfig(),
   )(implicit spark: SparkSession): DataFrame = {
-    val bc = spark.sparkContext.broadcast(model)
-    val volLikU = udf((cls: String, v: Double) => bc.value.volumeLik(cls, v))
-    val distLikU = udf((d: Double) => bc.value.distanceLik(d))
-    val velLikU = udf((cls: String, s: Double) => bc.value.velocityLik(cls, s))
+    val (volLikU, distLikU, velLikU) = (likelihoodUdf(model, "volume"), distanceUdf(cfg), likelihoodUdf(model, "velocity"))
     def lnF(p: org.apache.spark.sql.Column) = log(greatest(lit(Eps), p))
 
     val df = tracked.toDF()

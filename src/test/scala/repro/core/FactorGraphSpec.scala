@@ -8,15 +8,17 @@ class FactorGraphSpec extends AnyFunSuite {
   private def track(os: Seq[Obs]): Loa.Track =
     Loa.fromTracked(Association.assignScene(os)).head.tracks.head
 
-  private val constVol = Loa.ObsFeature("vol", Aof.Identity, _ => 0.4)
-  private val constVel = Loa.TransitionFeature("vel", Aof.Identity, (_, _) => 0.2)
+  /** π with the identity distribution: the factor's value is π's value. */
+  private def applied(f: Loa.Feature, aof: Aof = Aof.Identity) = Loa.AppliedFeature(f, aof, (_, v) => v)
+  private val constVol = applied(Loa.ObsFeature("vol", _ => 0.4))
+  private val constVel = applied(Loa.TransitionFeature("vel", (_, _) => 0.2))
 
   test("paper §6 worked example: score = (ln 0.37 + ln 0.39 + ln 0.21)/3 = -1.17") {
     // Two observations in adjacent frames with volume scores 0.37 and 0.39
     // and a velocity transition scored 0.21.
     val vols = Map(0 -> 0.37, 1 -> 0.39)
-    val volF = Loa.ObsFeature("vol", Aof.Identity, o => vols(o.frame))
-    val velF = Loa.TransitionFeature("vel", Aof.Identity, (_, _) => 0.21)
+    val volF = applied(Loa.ObsFeature("vol", o => vols(o.frame)))
+    val velF = applied(Loa.TransitionFeature("vel", (_, _) => 0.21))
     val t = track(movingTrack(2))
     val g = FactorGraph.compileTrack(t, Seq(volF, velF))
     val expected = (math.log(0.37) + math.log(0.39) + math.log(0.21)) / 3
@@ -45,14 +47,14 @@ class FactorGraphSpec extends AnyFunSuite {
     val human = movingTrack(3, source = Sources.Human)
     val model = movingTrack(3, source = Sources.Model).map(o => o.copy(x = o.x + 0.05))
     val t = track(human ++ model)
-    val bf = Loa.BundleFeature("b", Aof.Identity, _ => 0.5)
+    val bf = applied(Loa.BundleFeature("b", _ => 0.5))
     val g = FactorGraph.compileTrack(t, Seq(bf))
     assert(g.nFactors == 3)
     assert(g.factors.forall(_.memberObs.size == 2))
   }
   test("track features create exactly one factor spanning all observations") {
     val t = track(movingTrack(6))
-    val tf = Loa.TrackFeature("len", Aof.Identity, _ => 0.8)
+    val tf = applied(Loa.TrackFeature("len", _ => 0.8))
     val g = FactorGraph.compileTrack(t, Seq(tf))
     assert(g.nFactors == 1)
     assert(g.factors.head.memberObs.size == 6)
@@ -74,10 +76,10 @@ class FactorGraphSpec extends AnyFunSuite {
     assert(math.abs(s1 - s2) < 1e-9)
   }
   test("aof invert flips the ranking of likely vs unlikely tracks") {
-    val likely = Loa.ObsFeature("f", Aof.Identity, _ => 0.9)
-    val unlikely = Loa.ObsFeature("f", Aof.Identity, _ => 0.1)
-    val likelyInv = Loa.ObsFeature("f", Aof.Invert, _ => 0.9)
-    val unlikelyInv = Loa.ObsFeature("f", Aof.Invert, _ => 0.1)
+    val likely = applied(Loa.ObsFeature("f", _ => 0.9))
+    val unlikely = applied(Loa.ObsFeature("f", _ => 0.1))
+    val likelyInv = applied(Loa.ObsFeature("f", _ => 0.9), Aof.Invert)
+    val unlikelyInv = applied(Loa.ObsFeature("f", _ => 0.1), Aof.Invert)
     val t = track(movingTrack(3))
     assert(FactorGraph.compileTrack(t, Seq(likely)).score >
            FactorGraph.compileTrack(t, Seq(unlikely)).score)
@@ -85,7 +87,7 @@ class FactorGraphSpec extends AnyFunSuite {
            FactorGraph.compileTrack(t, Seq(unlikelyInv)).score)
   }
   test("zero likelihood is floored at eps, not -infinity") {
-    val zero = Loa.ObsFeature("f", Aof.Identity, _ => 0.0)
+    val zero = applied(Loa.ObsFeature("f", _ => 0.0))
     val g = FactorGraph.compileTrack(track(movingTrack(2)), Seq(zero))
     assert(g.score == math.log(FactorGraph.Eps))
     assert(!g.score.isNegInfinity)
@@ -101,7 +103,7 @@ class FactorGraphSpec extends AnyFunSuite {
     val c = obs(frame = 1, x = 0.5)
     // force all in one track via loose threshold? they are separate tracks;
     // instead build the bundle structure manually
-    val t = Loa.Track(0, Seq(Loa.Bundle(0, 0, Seq(a)), Loa.Bundle(1, 0, Seq(b)), Loa.Bundle(2, 1, Seq(c))))
+    val t = Loa.Track(0, IndexedSeq(Loa.Bundle(0, 0, Seq(a)), Loa.Bundle(1, 0, Seq(b)), Loa.Bundle(2, 1, Seq(c))))
     val g = FactorGraph.compileTrack(t, Seq(constVel))
     assert(g.nFactors == 1) // only the frame-0 → frame-1 pair
   }

@@ -22,42 +22,55 @@ class FixySpec extends SparkSpec {
 
   // --- offline learning (§5.2) ---------------------------------------------
 
+  /** `model`'s learned likelihood of a value of `feature` for class `cls`. */
+  private def lik(model: LearnedModel, feature: String)(cls: String, v: Double): Double =
+    model.byFeature(feature).likelihood(Some(cls), v)
+  private def volumeLik(cls: String, v: Double): Double = lik(learned, "volume")(cls, v)
+  private def velocityLik(cls: String, v: Double): Double = lik(learned, "velocity")(cls, v)
+
   test("learned volume KDE peaks near canonical class volumes") {
     val car = PerceptionData.params(Classes.Car)
     val carVol = car.l * car.w * car.h
-    assert(learned.volumeLik(Classes.Car, carVol) > 0.3)
-    assert(learned.volumeLik(Classes.Car, carVol * 20) < 0.01)
+    assert(volumeLik(Classes.Car, carVol) > 0.3)
+    assert(volumeLik(Classes.Car, carVol * 20) < 0.01)
   }
   test("learned volume KDE is class-conditional") {
     val car = PerceptionData.params(Classes.Car)
     val carVol = car.l * car.w * car.h
-    assert(learned.volumeLik(Classes.Pedestrian, carVol) < 0.05)
-    assert(learned.volumeLik(Classes.Pedestrian, 1.1) > 0.2)
+    assert(volumeLik(Classes.Pedestrian, carVol) < 0.05)
+    assert(volumeLik(Classes.Pedestrian, 1.1) > 0.2)
   }
   test("learned velocity KDE accepts class-typical speeds, rejects extremes") {
-    assert(learned.velocityLik(Classes.Pedestrian, 1.4) > 0.05)
-    assert(learned.velocityLik(Classes.Pedestrian, 15.0) < 0.01)
-    assert(learned.velocityLik(Classes.Car, 40.0) < 0.01)
+    assert(velocityLik(Classes.Pedestrian, 1.4) > 0.05)
+    assert(velocityLik(Classes.Pedestrian, 15.0) < 0.01)
+    assert(velocityLik(Classes.Car, 40.0) < 0.01)
   }
   test("unknown class falls back to the pooled distribution") {
-    assert(learned.volumeLik("unicycle", 14.5) == learned.volumePooled.likelihood(14.5))
+    assert(volumeLik("unicycle", 14.5) == learned.byFeature("volume").pooled.likelihood(14.5))
   }
   test("distance likelihood decays exponentially") {
-    assert(learned.distanceLik(0) === 1.0)
-    assert(math.abs(learned.distanceLik(60) - math.exp(-1)) < 1e-12)
-    assert(learned.distanceLik(10) > learned.distanceLik(50))
+    val distance = Fixy.driverFeatures(learned, cfg).find(_.feature.name == "distance").get
+    def distanceLik(d: Double) = distance.likelihood(Some(Classes.Car), d)
+    assert(distanceLik(0) === 1.0)
+    assert(math.abs(distanceLik(60) - math.exp(-1)) < 1e-12)
+    assert(distanceLik(10) > distanceLik(50))
   }
   test("all four classes get class-conditional distributions") {
-    assert(Classes.All.forall(learned.volumeByClass.contains))
-    assert(Classes.All.forall(learned.velocityByClass.contains))
+    assert(Classes.All.forall(learned.byFeature("volume").byClass.contains))
+    assert(Classes.All.forall(learned.byFeature("velocity").byClass.contains))
   }
   test("track length KDE sees plausible lengths") {
-    assert(learned.trackLengthLik(140.0) > 0.0) // full-vis human+model track
+    assert(learned.byFeature("count").likelihood(None, 140.0) > 0.0) // full-vis human+model track
+  }
+  test("learn fits exactly the learned features the model-error feature set reads") {
+    val read = Fixy.driverFeatures(learned, cfg, useDistance = false, useTrackLength = true).map(_.feature.name)
+    assert(learned.byFeature.keySet == read.toSet)
+    assert(learned.byFeature("count").byClass.isEmpty) // a track instance has no class
   }
   test("learn is deterministic") {
     val again = Fixy.learn(PerceptionData.observations(trainSpec), cfg)
-    assert(again.volumeLik(Classes.Car, 14.5) == learned.volumeLik(Classes.Car, 14.5))
-    assert(again.velocityLik(Classes.Car, 8.0) == learned.velocityLik(Classes.Car, 8.0))
+    assert(lik(again, "volume")(Classes.Car, 14.5) == volumeLik(Classes.Car, 14.5))
+    assert(lik(again, "velocity")(Classes.Car, 8.0) == velocityLik(Classes.Car, 8.0))
   }
   test("learn fails cleanly with no human labels") {
     assertThrows[IllegalArgumentException] {
@@ -224,11 +237,11 @@ class FixySpec extends SparkSpec {
   }
   test("a class missing from training scores with the pooled KDEs") {
     val noPedestrians = Fixy.learn(PerceptionData.observations(trainSpec).filter(_.cls != Classes.Pedestrian), cfg)
-    assert(!noPedestrians.volumeByClass.contains(Classes.Pedestrian))
-    assert(!noPedestrians.velocityByClass.contains(Classes.Pedestrian))
-    for (x <- Seq(0.0, 0.3, 1.1, 1.4, 5.0, 14.5, 70.0)) {
-      assert(noPedestrians.volumeLik(Classes.Pedestrian, x) == noPedestrians.volumePooled.likelihood(x), s"volume $x")
-      assert(noPedestrians.velocityLik(Classes.Pedestrian, x) == noPedestrians.velocityPooled.likelihood(x), s"speed $x")
+    for (feature <- Seq("volume", "velocity")) {
+      val kde = noPedestrians.byFeature(feature)
+      assert(!kde.byClass.contains(Classes.Pedestrian), feature)
+      for (x <- Seq(0.0, 0.3, 1.1, 1.4, 5.0, 14.5, 70.0))
+        assert(lik(noPedestrians, feature)(Classes.Pedestrian, x) == kde.pooled.likelihood(x), s"$feature $x")
     }
     // A model-only pedestrian walking at 1.4 m/s (5 fps): a §8.2 candidate.
     val walker = (0 until 6).map(f =>
@@ -237,6 +250,24 @@ class FixySpec extends SparkSpec {
       .select("score").collect().map(_.getDouble(0))
     assert(scores.length == 1)
     assert(java.lang.Double.isFinite(scores.head) && scores.head > math.log(FactorGraph.Eps), scores.head)
+  }
+  test("constant training values learn spike distributions that still score finitely") {
+    // Three human car tracks, one per scene, with one box size and one speed (5 m/s).
+    val humans = (0 until 3).flatMap(s => movingTrack(6, scene = s, source = Sources.Human, conf = 1.0))
+    val spikes = Fixy.learn(toDs(humans), cfg)
+    val car = humans.head
+    for ((feature, v) <- Seq("volume" -> car.volume, "velocity" -> 5.0)) {
+      assert(lik(spikes, feature)(Classes.Car, v) > 0.99, feature)
+      assert(lik(spikes, feature)(Classes.Car, v * 1.5) < 1e-6, feature)
+    }
+    assert(spikes.byFeature("count").likelihood(None, 6.0) > 0.99)
+    // A model track of another size and length scores Eq. 2 >= ln(eps) under all three feature sets.
+    val truck = Loa.fromTracked(Association.assignScene(movingTrack(8).map(_.copy(l = 9.0, w = 2.5, h = 3.2))))
+      .head.tracks.head
+    for ((useDistance, useTrackLength, invert) <- Seq((true, false, false), (false, true, true), (false, false, false))) {
+      val score = FactorGraph.compileTrack(truck, Fixy.driverFeatures(spikes, cfg, useDistance, useTrackLength, invert)).score
+      assert(java.lang.Double.isFinite(score) && score >= math.log(FactorGraph.Eps), score)
+    }
   }
   test("learn on human tracks of single observations fails for want of velocities") {
     // Frames further apart than maxGap: every observation is its own track.

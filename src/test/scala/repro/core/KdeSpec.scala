@@ -81,6 +81,16 @@ class KdeSpec extends AnyFunSuite {
     assert(kde.likelihood(5) < 0.2)
   }
 
+  test("the bandwidth floor does not move under translation") {
+    // A floor proportional to |mean| binds on these two close values, and a
+    // shift of 1.76e-4 moved the likelihood by 1.7e-6 (KdeProps' counterexample).
+    val vs = List(22.69110860162779, 22.65096011845249)
+    val t = 1.76e-4
+    val (a, b) = (Kde.fit(vs), Kde.fit(vs.map(_ + t)))
+    assert(math.abs(a.bandwidth - b.bandwidth) < 1e-9 * a.bandwidth)
+    assert(math.abs(a.likelihood(vs.head) - b.likelihood(vs.head + t)) < 1e-6)
+  }
+
   test("fit is deterministic") {
     val vs = gaussianSample(300, 2, 1)
     val (a, b) = (Kde.fit(vs), Kde.fit(vs))

@@ -62,4 +62,41 @@ class LoaSpec extends AnyFunSuite {
     val t = scenes(human ++ model).head.tracks.head
     assert(t.bundles.forall(b => b.hasSource(Sources.Human) && b.hasSource(Sources.Model)))
   }
+
+  // --- feature instances (§4.3), shared by learning and scoring ---------------
+
+  private val volume = Loa.ObsFeature("volume", _.volume)
+  private val frameGap = Loa.TransitionFeature("gap", (p, n) => (n.frame - p.frame).toDouble)
+  private val length = Loa.TrackFeature("length", _.nObs.toDouble)
+  // Frames 0, 0, 1: two same-frame bundles of different classes, then a truck.
+  private val mixed = Loa.Track(0, IndexedSeq(
+    Loa.Bundle(0, 0, Seq(obs(frame = 0, cls = Classes.Car))),
+    Loa.Bundle(1, 0, Seq(obs(frame = 0, x = 50, trueId = 2, cls = Classes.Pedestrian))),
+    Loa.Bundle(2, 1, Seq(obs(frame = 1, x = 0.5, cls = Classes.Truck), obs(frame = 1, x = 0.6, cls = Classes.Car)))))
+
+  test("an observation feature has one instance per observation, with its class") {
+    val is = Loa.instances(mixed, volume)
+    assert(is.map(_.members) == Seq(Seq(0), Seq(1), Seq(2), Seq(3)))
+    assert(is.map(_.cls) == mixed.allObs.map(o => Some(o.cls)))
+    assert(is.map(_.value) == mixed.allObs.map(_.volume))
+  }
+  test("a transition feature has one instance per frame-advancing bundle pair, with the later bundle's class") {
+    val is = Loa.instances(mixed, frameGap)
+    // No instance for the same-frame pair (bundles 0 and 1).
+    assert(is == Seq(Loa.Instance(Seq(1, 2, 3), 1.0, Some(Classes.Car))))
+    val moving = scenes(movingTrack(5)).head.tracks.head
+    assert(Loa.instances(moving, frameGap).map(_.members) == (0 until 4).map(i => Seq(i, i + 1)))
+  }
+  test("a track feature has one instance per track, with no class") {
+    assert(Loa.instances(mixed, length) == Seq(Loa.Instance(0 until 4, 4.0, None)))
+  }
+  test("instance members are the compiled factors' memberObs") {
+    val human = movingTrack(4, source = Sources.Human)
+    val model = movingTrack(4, source = Sources.Model).map(o => o.copy(x = o.x + 0.05))
+    for (t <- Seq(mixed, scenes(human ++ model).head.tracks.head)) {
+      val features = Seq(volume, Loa.BundleFeature("size", _.obs.size.toDouble), frameGap, length)
+      val compiled = FactorGraph.compileTrack(t, features.map(Loa.AppliedFeature(_, Aof.Identity, (_, v) => v)))
+      assert(compiled.factors.map(_.memberObs) == features.flatMap(Loa.instances(t, _).map(_.members)))
+    }
+  }
 }

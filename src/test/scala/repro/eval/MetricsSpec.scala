@@ -262,20 +262,20 @@ object MetricsSpec {
   lazy val tinyModel: LearnedModel = {
     val rng = new java.util.Random(5)
     def vols(mean: Double) = Seq.fill(200)(mean * math.exp(rng.nextGaussian() * 0.15))
-    LearnedModel(
-      volumeByClass = Map(
-        Classes.Car -> Kde.fit(vols(14.5)),
-        Classes.Truck -> Kde.fit(vols(70.0)),
-        Classes.Pedestrian -> Kde.fit(vols(1.1)),
-        Classes.Motorcycle -> Kde.fit(vols(3.0))),
-      velocityByClass = Map(
-        Classes.Car -> Kde.fit(Seq.fill(200)(math.max(0, rng.nextGaussian() * 3 + 8))),
-        Classes.Truck -> Kde.fit(Seq.fill(200)(math.max(0, rng.nextGaussian() * 2.5 + 6))),
-        Classes.Pedestrian -> Kde.fit(Seq.fill(200)(math.max(0, rng.nextGaussian() * 0.5 + 1.4))),
-        Classes.Motorcycle -> Kde.fit(Seq.fill(200)(math.max(0, rng.nextGaussian() * 1.5 + 5)))),
-      volumePooled = Kde.fit(vols(14.5) ++ vols(70.0) ++ vols(1.1)),
-      velocityPooled = Kde.fit(Seq.fill(200)(math.max(0, rng.nextGaussian() * 3 + 5))),
-      trackLength = Kde.fit(Seq.fill(100)(75.0 + rng.nextGaussian() * 30).map(math.max(3.0, _))),
-      distanceScale = 60.0)
+    // Fitted in this order, so each KDE sees the same random draws.
+    val volumeByClass = Map(
+      Classes.Car -> Kde.fit(vols(14.5)),
+      Classes.Truck -> Kde.fit(vols(70.0)),
+      Classes.Pedestrian -> Kde.fit(vols(1.1)),
+      Classes.Motorcycle -> Kde.fit(vols(3.0)))
+    val velocityByClass = Map(
+      Classes.Car -> Kde.fit(Seq.fill(200)(math.max(0, rng.nextGaussian() * 3 + 8))),
+      Classes.Truck -> Kde.fit(Seq.fill(200)(math.max(0, rng.nextGaussian() * 2.5 + 6))),
+      Classes.Pedestrian -> Kde.fit(Seq.fill(200)(math.max(0, rng.nextGaussian() * 0.5 + 1.4))),
+      Classes.Motorcycle -> Kde.fit(Seq.fill(200)(math.max(0, rng.nextGaussian() * 1.5 + 5))))
+    val volume = ClassKde(volumeByClass, Kde.fit(vols(14.5) ++ vols(70.0) ++ vols(1.1)))
+    val velocity = ClassKde(velocityByClass, Kde.fit(Seq.fill(200)(math.max(0, rng.nextGaussian() * 3 + 5))))
+    val count = ClassKde(Map.empty, Kde.fit(Seq.fill(100)(75.0 + rng.nextGaussian() * 30).map(math.max(3.0, _))))
+    LearnedModel(Map("volume" -> volume, "velocity" -> velocity, "count" -> count))
   }
 }
