@@ -13,26 +13,27 @@ object ModelAssertions {
 
   /** §8.2 "consistency" assertion: a time-consistent model track with no
     * human label is flagged as a potential missing label. It ranks Fixy's
-    * candidates ([[Fixy.isMissingTrackCandidate]]) in Fixy's per-scene pass;
-    * the ad-hoc part is the severity ordering:
+    * candidates ([[Fixy.isMissingTrackCandidate]]); the ad-hoc part is the
+    * severity ordering:
     *  - `rand`: uniformly random severity with the given seed;
     *  - `conf`: mean model confidence, highest first.
-    * Columns: scene, trackId, nObs, nHuman, meanConf, cls, severity, per-scene `rank`.
     */
+  def consistency(ordering: String, minObs: Int, seed: Long): Fixy.Ranking =
+    Fixy.Ranking(Fixy.isMissingTrackCandidate(minObs), ordering match {
+      case "rand" => t => randSeverity(seed)(t.trackId)
+      case "conf" => _.meanConf.get // candidates are model-only, so they have a mean confidence
+      case other  => throw new IllegalArgumentException(s"unknown ordering: $other")
+    })
+
+  /** [[consistency]] alone. Columns: scene, trackId, nObs, nHuman, meanConf, cls, severity, per-scene `rank`. */
   def consistency(
       tracked: Dataset[TrackedObs],
       ordering: String,
       minObs: Int = 3,
       seed: Long = 0,
-  )(implicit spark: SparkSession): DataFrame = {
-    val severity: Loa.Track => Double = ordering match {
-      case "rand" => t => randSeverity(seed)(t.trackId)
-      case "conf" => _.meanConf.get // candidates are model-only, so they have a mean confidence
-      case other  => throw new IllegalArgumentException(s"unknown ordering: $other")
-    }
-    Fixy.rankTracks(tracked, Fixy.isMissingTrackCandidate(minObs))(severity).withColumnRenamed("score", "severity")
+  )(implicit spark: SparkSession): DataFrame =
+    Fixy.rankTracks(tracked, ordering -> consistency(ordering, minObs, seed)).withColumnRenamed("score", "severity")
       .select("scene", "trackId", "nObs", "nHuman", "meanConf", "cls", "severity", "rank")
-  }
 
   /** The `rand` severity, bit for bit Spark's `abs(hash(trackId, seed))`. */
   private[baselines] def randSeverity(seed: Long)(trackId: Long): Double =
@@ -42,12 +43,12 @@ object ModelAssertions {
     * timestamps — flags tracks with ≤ `minObs` observations (2 in Kang et al.;
     * a stricter setting also catches slightly longer detection fragments).
     */
-  private def appears(minObs: Int)(t: Loa.Track): Boolean = t.nObs <= minObs
+  private[baselines] def appears(minObs: Int)(t: Loa.Track): Boolean = t.nObs <= minObs
 
   /** §8.4 "flicker": a track should not appear and disappear rapidly — flags
     * tracks whose distinct frames do not fill their frame span.
     */
-  private def flickers(t: Loa.Track): Boolean = {
+  private[baselines] def flickers(t: Loa.Track): Boolean = {
     val frames = t.bundles.map(_.frame)
     frames.last - frames.head + 1 > frames.distinct.size
   }
@@ -55,23 +56,14 @@ object ModelAssertions {
   /** §8.4 "multibox": three boxes should not overlap — flags tracks with a
     * bundle (one frame) of ≥ 3 model observations.
     */
-  private def multibox(t: Loa.Track): Boolean = t.bundles.exists(_.obs.count(_.source == Sources.Model) >= 3)
+  private[baselines] def multibox(t: Loa.Track): Boolean = t.bundles.exists(_.obs.count(_.source == Sources.Model) >= 3)
 
-  /** Ascending ids of the tracks any of `assertions` flags: one task per scene. */
-  private def flagged(tracked: Dataset[TrackedObs], assertions: (Loa.Track => Boolean)*)(
-      implicit spark: SparkSession): Seq[Long] = {
+  /** The union of the three §8.4 assertions, as one predicate. */
+  def flags(appearMinObs: Int): Loa.Track => Boolean = t => appears(appearMinObs)(t) || flickers(t) || multibox(t)
+
+  /** Ascending ids of the tracks [[flags]] flags: one task per scene. */
+  def allFlagged(tracked: Dataset[TrackedObs], appearMinObs: Int = 2)(implicit spark: SparkSession): Seq[Long] = {
     import spark.implicits._
-    Fixy.perScene(tracked)((_, tracks) => tracks.filter(t => assertions.exists(_(t))).map(_.trackId)).collect().toSeq.sorted
+    Fixy.perScene(tracked)((_, tracks) => tracks.filter(flags(appearMinObs)).map(_.trackId)).collect().toSeq.sorted
   }
-
-  def appearFlagged(tracked: Dataset[TrackedObs], minObs: Int = 2)(implicit spark: SparkSession): Seq[Long] =
-    flagged(tracked, appears(minObs))
-  def flickerFlagged(tracked: Dataset[TrackedObs])(implicit spark: SparkSession): Seq[Long] =
-    flagged(tracked, flickers)
-  def multiboxFlagged(tracked: Dataset[TrackedObs])(implicit spark: SparkSession): Seq[Long] =
-    flagged(tracked, multibox)
-
-  /** Union of the three §8.4 assertions, in one pass. */
-  def allFlagged(tracked: Dataset[TrackedObs], appearMinObs: Int = 2)(implicit spark: SparkSession): Seq[Long] =
-    flagged(tracked, appears(appearMinObs), flickers, multibox)
 }

@@ -10,14 +10,14 @@ import repro.core.{Fixy, Sources, TrackedObs}
   */
 object Uncertainty {
 
-  /** Severity −|meanConf − threshold|, ranked in Fixy's per-scene pass and
-    * then globally. Like [[Fixy.rankModelErrors]], it expects model
-    * observations only (`nObs` counts all of a track's observations).
-    * Columns: scene, trackId, nObs, meanConf, maxConf, severity, `rank`.
+  /** Severity −|meanConf − threshold| over the tracks with a model observation. */
+  def ranking(threshold: Double = 0.5): Fixy.Ranking =
+    Fixy.Ranking(_.hasSource(Sources.Model), t => -math.abs(t.meanConf.get - threshold))
+
+  /** [[ranking]] alone, ranked globally. Like [[Fixy.rankModelErrors]], it expects model
+    * observations only. Columns: scene, trackId, nObs, meanConf, maxConf, severity, `rank`.
     */
-  def rankTracks(tracked: Dataset[TrackedObs], threshold: Double = 0.5)(implicit spark: SparkSession): DataFrame = {
-    val ranked = Fixy.rankTracks(tracked, _.hasSource(Sources.Model))(t => -math.abs(t.meanConf.get - threshold))
-    Fixy.rankGlobally(ranked, "trackId").withColumnRenamed("score", "severity")
-      .select("scene", "trackId", "nObs", "meanConf", "maxConf", "severity", "rank")
-  }
+  def rankTracks(tracked: Dataset[TrackedObs], threshold: Double = 0.5)(implicit spark: SparkSession): DataFrame =
+    Fixy.rankGlobally(Fixy.rankTracks(tracked, "uncertainty" -> ranking(threshold)), "trackId")
+      .withColumnRenamed("score", "severity").select("scene", "trackId", "nObs", "meanConf", "maxConf", "severity", "rank")
 }

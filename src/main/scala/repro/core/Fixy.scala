@@ -32,13 +32,14 @@ final case class FixyConfig(
     minClassSamples: Int = 10,
 )
 
-/** One ranked track: its ranking severity as `score` (Eq. 2 for Fixy), with
-  * the per-track statistics the applications filter and report on:
-  * observation counts, distinct frames, mean and max model confidence (None
-  * without model observations) and the smallest member class. `rank` is
-  * 1-based within the scene.
+/** One track ranked by the ranking named `method`: its severity as `score`
+  * (Eq. 2 for Fixy), with the per-track statistics the applications filter
+  * and report on: observation counts, distinct frames, mean and max model
+  * confidence (None without model observations) and the smallest member
+  * class. `rank` is 1-based within the scene and method.
   */
 final case class ScoredTrack(
+    method: String,
     scene: Long,
     trackId: Long,
     score: Double,
@@ -71,7 +72,8 @@ final case class ScoredBundle(
   * phase is one Spark pass with one task per scene
   * (`groupByKey(scene).flatMapGroups`) that runs the pure-Scala LOA model:
   * [[Association.assignScene]], [[Loa.fromTracked]] and
-  * [[FactorGraph.compileTrack]] over [[driverFeatures]].
+  * [[FactorGraph.compileTrack]] over [[driverFeatures]]; [[rankTracks]] ranks
+  * a scene under every [[Ranking]] (Fixy's and the baselines') at once.
   *
   * All rankers take *already associated* observations ([[TrackedObs]]) so the
   * association pass is shared; `Association.assignTracks` produces them.
@@ -158,35 +160,47 @@ object Fixy {
     tracked.groupByKey(_.scene)(Encoders.scalaLong)
       .flatMapGroups((scene, rows) => f(scene, Loa.fromTracked(rows.toSeq).flatMap(_.tracks)))
 
-  /** The one track-ranking pass: each scene's tracks that pass `keep` (the
-    * hard filters), with their statistics and `severity` as `score`, ranked
-    * within the scene: highest first, ties to the smaller track id. Fixy's
-    * severity is Eq. 2 ([[eq2]]); the baselines pass their ad-hoc ones.
+  /** A track ranking: the tracks that pass `keep` (the hard filters) by
+    * `severity`, Eq. 2 ([[eq2]]) for Fixy and ad-hoc for the baselines.
     */
-  private[repro] def rankTracks(tracked: Dataset[TrackedObs], keep: Loa.Track => Boolean)(
-      severity: Loa.Track => Double)(implicit spark: SparkSession): Dataset[ScoredTrack] = {
+  final case class Ranking(keep: Loa.Track => Boolean, severity: Loa.Track => Double)
+
+  /** The one track-ranking pass: one task per scene rebuilds the scene's tracks
+    * once and ranks them under each named ranking. A ranking's rows carry its
+    * name as `method`, its kept tracks' statistics and `severity` as `score`,
+    * and the per-scene rank: highest first, ties to the smaller track id.
+    */
+  private[repro] def rankTracks(tracked: Dataset[TrackedObs], rankings: (String, Ranking)*)(
+      implicit spark: SparkSession): Dataset[ScoredTrack] = {
     import spark.implicits._
+    val names = rankings.map(_._1)
+    require(names.distinct == names, s"duplicate ranking names: ${names.diff(names.distinct).distinct.mkString(", ")}")
     perScene(tracked) { (scene, tracks) =>
-      tracks.filter(keep).map { t =>
-        val obs = t.allObs
-        val conf = t.modelConf
-        ScoredTrack(scene, t.trackId, severity(t), nObs = obs.size, nHuman = obs.count(_.source == Sources.Human),
-          nModel = conf.size, nFrames = t.bundles.map(_.frame).distinct.size, meanConf = t.meanConf,
-          maxConf = conf.maxOption, cls = obs.map(_.cls).min, rank = 0)
-      }.sortBy(t => (-t.score, t.trackId)).zipWithIndex.map { case (t, i) => t.copy(rank = i + 1) }
+      rankings.flatMap { case (method, Ranking(keep, severity)) =>
+        tracks.filter(keep).map { t =>
+          val obs = t.allObs
+          val conf = t.modelConf
+          ScoredTrack(method, scene, t.trackId, severity(t), nObs = obs.size, nHuman = obs.count(_.source == Sources.Human),
+            nModel = conf.size, nFrames = t.bundles.map(_.frame).distinct.size, meanConf = t.meanConf,
+            maxConf = conf.maxOption, cls = obs.map(_.cls).min, rank = 0)
+        }.sortBy(t => (-t.score, t.trackId)).zipWithIndex.map { case (t, i) => t.copy(rank = i + 1) }
+      }
     }
   }
 
-  /** Rank as one list across scenes, on the driver (the scored rows are few):
-    * highest score first, ties to the smaller `id`. `rank` is renumbered in
-    * place, in a local frame.
+  /** Rank each `method`'s rows (all rows, if there is no `method`) as one list
+    * across scenes, on the driver (the scored rows are few): highest score
+    * first, ties to the smaller `id`. `rank` is renumbered in a local frame.
     */
   private[repro] def rankGlobally(ranked: Dataset[_], id: String): DataFrame = {
     val df = ranked.toDF()
     val Seq(score, key, rank) = Seq("score", id, "rank").map(df.schema.fieldIndex)
-    val rows = df.collect().sortBy(r => (-r.getDouble(score), r.getLong(key))).zipWithIndex
-      .map { case (r, i) => Row.fromSeq(r.toSeq.updated(rank, i + 1)) }
-    df.sparkSession.createDataFrame(rows.toSeq.asJava, df.schema)
+    val method = df.columns.indexOf("method")
+    val rows = df.collect().groupBy(r => if (method < 0) "" else r.getString(method)).values.toSeq.flatMap {
+      _.sortBy(r => (-r.getDouble(score), r.getLong(key))).zipWithIndex
+        .map { case (r, i) => Row.fromSeq(r.toSeq.updated(rank, i + 1)) }
+    }
+    df.sparkSession.createDataFrame(rows.asJava, df.schema)
   }
 
   /** Eq. 2 over a track's factor graph, as a ranking severity. */
@@ -204,15 +218,17 @@ object Fixy {
   private[repro] def isMissingTrackCandidate(minObs: Int)(t: Loa.Track): Boolean =
     !t.hasSource(Sources.Human) && t.nObs >= minObs
 
-  /** Rank the §8.2 candidates ([[isMissingTrackCandidate]]) by plausibility,
-    * most plausible first. Adds `rank` (1-based, per scene).
-    */
+  /** Fixy's §8.2 ranking: the candidates ([[isMissingTrackCandidate]]), most plausible first. */
+  def missingTracks(model: LearnedModel, cfg: FixyConfig): Ranking =
+    Ranking(isMissingTrackCandidate(cfg.minTrackObs), eq2(driverFeatures(model, cfg)))
+
+  /** [[missingTracks]] alone. Adds `rank` (1-based, per scene). */
   def rankMissingTracks(
       tracked: Dataset[TrackedObs],
       model: LearnedModel,
       cfg: FixyConfig = FixyConfig(),
   )(implicit spark: SparkSession): DataFrame =
-    rankTracks(tracked, isMissingTrackCandidate(cfg.minTrackObs))(eq2(driverFeatures(model, cfg))).toDF()
+    rankTracks(tracked, "fixy" -> missingTracks(model, cfg)).drop("method")
 
   // --------------------------------------------------------------------------
   // Application 2 (§7, §8.3): finding missing labels *within* human tracks.
@@ -253,11 +269,17 @@ object Fixy {
   // Application 3 (§7, §8.4): finding erroneous ML model predictions.
   // --------------------------------------------------------------------------
 
-  /** Rank model tracks by *implausibility* (the `1 − x` AOF), excluding any
-    * track in `excludedTrackIds` (the errors the ad-hoc MAs already found,
+  /** Fixy's §8.4 ranking: model tracks by *implausibility* (the `1 − x`
+    * AOF), except those `excluded` (the errors the ad-hoc MAs already found,
     * per §8.4). Its input should be model observations only: it does not look
-    * at sources. Adds `rank` (1-based, global — the paper reports a single
-    * top-10 over 5 scenes), ranked over the scored tracks that pass the filters.
+    * at sources.
+    */
+  def modelErrors(model: LearnedModel, cfg: FixyConfig, excluded: Loa.Track => Boolean): Ranking =
+    Ranking(t => t.nObs >= cfg.minTrackObs && !excluded(t),
+      eq2(driverFeatures(model, cfg, useDistance = false, useTrackLength = true, invert = true)))
+
+  /** [[modelErrors]] alone, excluding `excludedTrackIds`. Adds `rank`
+    * (1-based, global — the paper reports a single top-10 over 5 scenes).
     */
   def rankModelErrors(
       tracked: Dataset[TrackedObs],
@@ -266,7 +288,6 @@ object Fixy {
       excludedTrackIds: Seq[Long] = Seq.empty,
   )(implicit spark: SparkSession): DataFrame = {
     val excluded = excludedTrackIds.toSet
-    rankGlobally(rankTracks(tracked, t => t.nObs >= cfg.minTrackObs && !excluded(t.trackId))(
-      eq2(driverFeatures(model, cfg, useDistance = false, useTrackLength = true, invert = true))), "trackId")
+    rankGlobally(rankTracks(tracked, "fixy" -> modelErrors(model, cfg, t => excluded(t.trackId))), "trackId").drop("method")
   }
 }

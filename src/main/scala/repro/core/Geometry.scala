@@ -1,26 +1,19 @@
 package repro.core
 
 /** Axis-aligned birds-eye-view (BEV) box centered at (x, y) with footprint
-  * l (extent along x) × w (extent along y), plus vertical extent h at base z
-  * for volume computation.
+  * l (extent along x) × w (extent along y): what association compares.
   *
   * Substitution note (DESIGN.md): the paper uses oriented 3D boxes; none of
   * its features (volume, velocity, distance) depend on heading, and IOU-based
   * association is only perturbed at second order, so axis-aligned BEV boxes
   * preserve the behaviour Fixy exploits.
   */
-final case class Box(x: Double, y: Double, l: Double, w: Double, z: Double = 0.0, h: Double = 0.0) {
-  /** 3D volume of the box (m³). */
-  def volume: Double = l * w * h
-
+final case class Box(x: Double, y: Double, l: Double, w: Double) {
   /** BEV footprint area (m²). */
   def area: Double = l * w
-
-  /** Euclidean distance of the box center from the origin (the AV). */
-  def distanceToAv: Double = math.hypot(x, y)
 }
 
-/** Pure geometry used by association and by feature computation. */
+/** Pure geometry used by association and by the velocity feature. */
 object Geometry {
 
   /** Length of the 1D overlap of [c1 − e1/2, c1 + e1/2] and [c2 − e2/2, c2 + e2/2]. */
@@ -48,6 +41,6 @@ object Geometry {
     */
   def centroid(boxes: Seq[Box]): Box = {
     def mean(f: Box => Double): Double = boxes.map(f).sum / boxes.size
-    Box(mean(_.x), mean(_.y), mean(_.l), mean(_.w), mean(_.z), mean(_.h))
+    Box(mean(_.x), mean(_.y), mean(_.l), mean(_.w))
   }
 }

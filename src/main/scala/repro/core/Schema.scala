@@ -23,7 +23,7 @@ final case class Obs(
     h: Double,
     conf: Double,   // model confidence; 1.0 for human proposals
 ) {
-  def box: Box = Box(x, y, l, w, z, h)
+  def box: Box = Box(x, y, l, w)
   def volume: Double = l * w * h
   def distanceToAv: Double = math.hypot(x, y)
 }

@@ -1,7 +1,7 @@
 package repro.eval
 
 import org.apache.spark.sql.{DataFrame, Dataset, SparkSession}
-import org.apache.spark.sql.functions._
+import org.apache.spark.sql.functions.col
 
 import repro.baselines.{ModelAssertions, Uncertainty}
 import repro.core._
@@ -34,15 +34,11 @@ object Experiments {
     try body(learned, tracked, truth) finally { tracked.unpersist(); truth.unpersist() }
   }
 
-  /** `rankings` as one frame of (method, scene, trackId, rank, `extra`), to be labelled at once. */
-  private def byMethod(rankings: Seq[(String, DataFrame)], extra: String*): DataFrame =
-    rankings.map { case (m, r) => r.select(lit(m).as("method") +: (Seq("scene", "trackId", "rank") ++ extra).map(col): _*) }
-      .reduce(_ union _)
   private def of(labeled: DataFrame, method: String): DataFrame = labeled.where(col("method") === method)
 
   /** Shared per-dataset leg of Table 3: learn on `train`, rank `eval`'s
-    * model-only tracks with Fixy and both ad-hoc MA orderings, measure
-    * precision@{10,5,1} over the scenes that actually contain missing tracks.
+    * model-only tracks with Fixy and both ad-hoc MA orderings (one pass),
+    * measure precision@{10,5,1} over the scenes that contain missing tracks.
     */
   private def table3Leg(dataset: String, train: DatasetSpec, eval: DatasetSpec)(
       implicit spark: SparkSession): (Seq[Table3Row], Double) =
@@ -53,10 +49,10 @@ object Experiments {
       // re-drawn — ours can).
       val randSeeds = 1L to 5L
       val rankings = Seq(
-        "fixy" -> Fixy.rankMissingTracks(tracked, learned, cfg),
-        "ma-conf" -> ModelAssertions.consistency(tracked, "conf", cfg.minTrackObs),
-      ) ++ randSeeds.map(s => s"ma-rand-$s" -> ModelAssertions.consistency(tracked, "rand", cfg.minTrackObs, seed = s))
-      val labeled = Metrics.labelMissingTrackProposals(byMethod(rankings), tracked, truth)
+        "fixy" -> Fixy.missingTracks(learned, cfg),
+        "ma-conf" -> ModelAssertions.consistency("conf", cfg.minTrackObs, seed = 0),
+      ) ++ randSeeds.map(s => s"ma-rand-$s" -> ModelAssertions.consistency("rand", cfg.minTrackObs, seed = s))
+      val labeled = Metrics.labelMissingTrackProposals(Fixy.rankTracks(tracked, rankings: _*).toDF(), tracked, truth)
       val scenes = Metrics.scenesWithMissing(truth)
       def p(method: String)(k: Int): Double = Metrics.precisionAtK(of(labeled, method), scenes, k)
       def row(name: String, pAt: Int => Double) = Table3Row(name, dataset, pAt(10), pAt(5), pAt(1))
@@ -95,21 +91,19 @@ object Experiments {
     }
 
   /** §8.4: model-error finding with no human labels — Fixy (inverted AOF,
-    * after excluding ad-hoc-MA-flagged tracks) vs uncertainty sampling,
-    * precision over the global top-10; plus the max confidence among Fixy's
-    * true-positive proposals (paper: errors with confidence as high as 95%).
+    * after excluding ad-hoc-MA-flagged tracks) vs uncertainty sampling in one
+    * pass, precision over the global top-10; plus the max confidence among
+    * Fixy's true-positive proposals (paper: errors with confidence up to 95%).
     */
   def modelErrorsExperiment(implicit spark: SparkSession): ModelErrorsResult =
     onEval(PerceptionData.internalTrain, PerceptionData.modelErrorSim, modelOnly = true) { (learned, tracked, _) =>
       // Strict appear setting (≤ 4 obs): short detection fragments are the
       // appear assertion's territory, and §8.4 searches for what the ad-hoc
       // MAs *cannot* find.
-      val flagged = ModelAssertions.allFlagged(tracked, appearMinObs = 4)
-      val rankings = Seq(
-        "fixy" -> Fixy.rankModelErrors(tracked, learned, cfg, excludedTrackIds = flagged),
-        "uncertainty" -> Uncertainty.rankTracks(tracked),
-      )
-      val labeled = Metrics.labelModelErrorProposals(byMethod(rankings, "maxConf"), tracked)
+      val ranked = Fixy.rankTracks(tracked,
+        "fixy" -> Fixy.modelErrors(learned, cfg, excluded = ModelAssertions.flags(appearMinObs = 4)),
+        "uncertainty" -> Uncertainty.ranking())
+      val labeled = Metrics.labelModelErrorProposals(Fixy.rankGlobally(ranked, "trackId"), tracked)
       ModelErrorsResult(Metrics.globalPrecisionAtK(of(labeled, "fixy"), 10),
         Metrics.globalPrecisionAtK(of(labeled, "uncertainty"), 10), Metrics.maxConfAmongHits(of(labeled, "fixy"), 10))
     }

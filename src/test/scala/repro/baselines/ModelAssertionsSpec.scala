@@ -1,6 +1,6 @@
 package repro.baselines
 
-import org.apache.spark.sql.SparkSession
+import org.apache.spark.sql.{Dataset, SparkSession}
 
 import repro.SparkSpec
 import repro.core._
@@ -15,6 +15,9 @@ class ModelAssertionsSpec extends SparkSpec {
     ss.createDataset(os)
   }
   private def tracked(os: Seq[Obs]) = Association.assignTracks(toDs(os))
+  /** The ids of the tracks in `t` that `assertion` flags. */
+  private def flagged(t: Dataset[TrackedObs], assertion: Loa.Track => Boolean): Seq[Long] =
+    Loa.fromTracked(t.collect().toSeq).flatMap(_.tracks).filter(assertion).map(_.trackId)
 
   // --- consistency (§8.2 baseline) ------------------------------------------
 
@@ -78,35 +81,34 @@ class ModelAssertionsSpec extends SparkSpec {
     val short = movingTrack(2, trueId = 1)
     val long = movingTrack(6, trueId = 2, y0 = 50)
     val t = tracked(short ++ long)
-    val flagged = ModelAssertions.appearFlagged(t)
-    assert(flagged.size == 1)
+    assert(flagged(t, ModelAssertions.appears(2)).size == 1)
   }
   test("flicker flags tracks with frame gaps") {
     val gappy = movingTrack(8, trueId = 1).filterNot(_.frame == 4)
     val smooth = movingTrack(8, trueId = 2, y0 = 50)
     val t = tracked(gappy ++ smooth).cache()
-    val flagged = ModelAssertions.flickerFlagged(t)
-    assert(flagged.size == 1)
+    val flickering = flagged(t, ModelAssertions.flickers)
+    assert(flickering.size == 1)
     // the flagged track is the gappy one
     val gappyTrack = t.collect().filter(_.trueId == 1).map(_.trackId).distinct
-    assert(flagged.toSet == gappyTrack.toSet)
+    assert(flickering.toSet == gappyTrack.toSet)
     t.unpersist()
   }
   test("flicker does not flag gap-free tracks") {
-    assert(ModelAssertions.flickerFlagged(tracked(movingTrack(10))).isEmpty)
+    assert(flagged(tracked(movingTrack(10)), ModelAssertions.flickers).isEmpty)
   }
   test("multibox flags bundles with 3+ overlapping model boxes") {
     val triple = (0 until 4).flatMap { f =>
       (0 until 3).map(b => TestObs.obs(frame = f, trueId = -1, x = 10 + 0.2 * b, y = 0.2 * b, conf = 0.6))
     }
     val t = tracked(triple)
-    assert(ModelAssertions.multiboxFlagged(t).nonEmpty)
+    assert(flagged(t, ModelAssertions.multibox).nonEmpty)
   }
   test("multibox ignores pairs") {
     val pair = (0 until 4).flatMap { f =>
       (0 until 2).map(b => TestObs.obs(frame = f, trueId = -1, x = 10 + 0.2 * b, conf = 0.6))
     }
-    assert(ModelAssertions.multiboxFlagged(tracked(pair)).isEmpty)
+    assert(flagged(tracked(pair), ModelAssertions.multibox).isEmpty)
   }
   test("allFlagged unions the three assertions without duplicates") {
     val short = movingTrack(2, trueId = 1)
@@ -119,25 +121,26 @@ class ModelAssertionsSpec extends SparkSpec {
   test("the 8.4 assertion sets on the full model-error preset are pinned") {
     val modelObs = PerceptionData.observations(PerceptionData.modelErrorSim).filter(_.source == Sources.Model)
     val t = Association.assignTracks(modelObs).cache()
-    assert(ModelAssertions.appearFlagged(t, minObs = 4).size == 326)
-    assert(ModelAssertions.flickerFlagged(t).size == 332)
-    assert(ModelAssertions.multiboxFlagged(t).size == 18)
+    assert(flagged(t, ModelAssertions.appears(4)).size == 326)
+    assert(flagged(t, ModelAssertions.flickers).size == 332)
+    assert(flagged(t, ModelAssertions.multibox).size == 18)
     val all = ModelAssertions.allFlagged(t, appearMinObs = 4)
     assert(all.size == 582 && all.distinct.size == 582)
+    assert(flagged(t, ModelAssertions.flags(appearMinObs = 4)).sorted == all)
     t.unpersist()
   }
   test("ma ghosts in the 8.4 preset are flagged, novel errors are not") {
     val spec = PerceptionData.modelErrorSim.copy(nScenes = 2)
     val modelObs = PerceptionData.observations(spec).filter(_.source == Sources.Model)
     val t = Association.assignTracks(modelObs).cache()
-    val flagged = ModelAssertions.allFlagged(t).toSet
+    val flaggedIds = ModelAssertions.allFlagged(t).toSet
     val rows = t.collect()
     val novelTracks = rows.filter(o => o.trueId < 0 && -o.trueId % PerceptionData.IdStride >= 50000)
       .groupBy(_.trackId)
       // only tracks that are purely novel-error observations
       .collect { case (tid, os) if rows.filter(_.trackId == tid).forall(o => os.map(_.trueId).contains(o.trueId)) => tid }
     assert(novelTracks.nonEmpty)
-    assert(novelTracks.forall(tid => !flagged.contains(tid)), "novel errors must evade the ad-hoc MAs")
+    assert(novelTracks.forall(tid => !flaggedIds.contains(tid)), "novel errors must evade the ad-hoc MAs")
     t.unpersist()
   }
 }

@@ -10,8 +10,7 @@ object GeometryProps extends Properties("Geometry") {
     y <- Gen.choose(-100.0, 100.0)
     l <- Gen.choose(0.1, 20.0)
     w <- Gen.choose(0.1, 20.0)
-    h <- Gen.choose(0.1, 5.0)
-  } yield Box(x, y, l, w, 0.0, h)
+  } yield Box(x, y, l, w)
 
   property("iou within [0,1]") = forAll(genBox, genBox) { (a, b) =>
     val i = Geometry.iou(a, b)
@@ -25,9 +24,6 @@ object GeometryProps extends Properties("Geometry") {
   }
   property("iou shrinks or stays when boxes move apart along x") = forAll(genBox, Gen.choose(0.0, 5.0)) { (b, d) =>
     Geometry.iou(b, b.copy(x = b.x + d + 1)) <= Geometry.iou(b, b.copy(x = b.x + d)) + 1e-12
-  }
-  property("volume nonnegative and multiplicative") = forAll(genBox) { b =>
-    b.volume >= 0 && math.abs(b.volume - b.l * b.w * b.h) < 1e-9
   }
   property("centerDistance is a metric on centers (triangle)") =
     forAll(genBox, genBox, genBox) { (a, b, c) =>

@@ -89,7 +89,7 @@ class FixySpec extends SparkSpec {
     def byTrack(df: DataFrame) =
       df.select(columns.map(col): _*).collect().map(r => r.getLong(0) -> r).toMap
     val features = Fixy.driverFeatures(learned, cfg, useDistance, useTrackLength, invert)
-    val sparkRows = byTrack(Fixy.rankTracks(tracked, _ => true)(Fixy.eq2(features)).toDF())
+    val sparkRows = byTrack(Fixy.rankTracks(tracked, "all" -> Fixy.Ranking(_ => true, Fixy.eq2(features))).toDF())
     val refRows = byTrack(DataFrameReference.scoreTracks(tracked, learned, cfg, useDistance, useTrackLength, invert))
 
     val rows = tracked.collect().toSeq
@@ -141,11 +141,65 @@ class FixySpec extends SparkSpec {
     tracked.unpersist()
   }
 
+  // --- one pass: every ranking of a dataset from one rebuild of each scene --------
+
+  /** Table 3's seven rankings, named as `Experiments` names them. */
+  private def table3Rankings: Seq[(String, Fixy.Ranking)] =
+    Seq("fixy" -> Fixy.missingTracks(learned, cfg), "ma-conf" -> ModelAssertions.consistency("conf", cfg.minTrackObs, 0)) ++
+      (1L to 5L).map(s => s"ma-rand-$s" -> ModelAssertions.consistency("rand", cfg.minTrackObs, s))
+
+  /** §8.4's pair, as `Experiments` ranks it: Fixy excludes what the MAs flag. */
+  private def modelErrorRankings: Seq[(String, Fixy.Ranking)] =
+    Seq("fixy" -> Fixy.modelErrors(learned, cfg, ModelAssertions.flags(appearMinObs = 4)), "uncertainty" -> Uncertainty.ranking())
+
+  test("one pass ranks each method as its single-ranking entry point does") {
+    import ss.implicits._
+    type Key = (Long, Long, Int, Long) // (scene, track id, rank, score bits)
+    def rows(df: DataFrame, score: String): Seq[Key] =
+      df.select(col("scene"), col("trackId"), col("rank"), col(score)).as[(Long, Long, Int, Double)].collect().toSeq
+        .map { case (s, id, rank, v) => (s, id, rank, java.lang.Double.doubleToRawLongBits(v)) }.sorted
+    def check(onePass: DataFrame, single: Seq[(String, DataFrame, String)]): Unit = {
+      assert(onePass.select("method").distinct().as[String].collect().toSet == single.map(_._1).toSet)
+      for ((method, df, score) <- single) {
+        val expected = rows(df, score)
+        assert(expected.nonEmpty, method)
+        assert(rows(onePass.where(col("method") === method), "score") == expected, method)
+      }
+    }
+
+    val missing = PerceptionData.internalTrain.copy(nScenes = 2, pMissingTrack = 0.3)
+    val tracked = Association.assignTracks(PerceptionData.observations(missing), cfg.assoc).cache()
+    check(Fixy.rankTracks(tracked, table3Rankings: _*).toDF(),
+      Seq(("fixy", Fixy.rankMissingTracks(tracked, learned, cfg), "score"),
+        ("ma-conf", ModelAssertions.consistency(tracked, "conf", cfg.minTrackObs), "severity")) ++
+        (1L to 5L).map(s => (s"ma-rand-$s", ModelAssertions.consistency(tracked, "rand", cfg.minTrackObs, s), "severity")))
+    tracked.unpersist()
+
+    val modelObs = PerceptionData.observations(PerceptionData.modelErrorSim.copy(nScenes = 2)).filter(_.source == Sources.Model)
+    val model = Association.assignTracks(modelObs, cfg.assoc).cache()
+    val flagged = ModelAssertions.allFlagged(model, appearMinObs = 4)
+    // The exclusion is not vacuous: it removes tracks that Fixy would rank.
+    assert(Fixy.rankModelErrors(model, learned, cfg, excludedTrackIds = flagged).count() <
+      Fixy.rankModelErrors(model, learned, cfg).count())
+    check(Fixy.rankGlobally(Fixy.rankTracks(model, modelErrorRankings: _*), "trackId"),
+      Seq(("fixy", Fixy.rankModelErrors(model, learned, cfg, excludedTrackIds = flagged), "score"),
+        ("uncertainty", Uncertainty.rankTracks(model), "severity")))
+    model.unpersist()
+  }
+  test("the one pass rejects duplicate ranking names, naming them") {
+    import ss.implicits._
+    val e = intercept[IllegalArgumentException] {
+      Fixy.rankTracks(ss.emptyDataset[TrackedObs], "fixy" -> Fixy.missingTracks(learned, cfg),
+        "ma-conf" -> ModelAssertions.consistency("conf", cfg.minTrackObs, 0), "fixy" -> Fixy.missingTracks(learned, cfg))
+    }
+    assert(e.getMessage.contains("duplicate ranking names: fixy"), e.getMessage)
+  }
+
   // --- metamorphic: rankings ignore row order, shuffle partitioning and scene ids
 
   test("rankings are unchanged by input row order and shuffle partition count") {
     import ss.implicits._
-    type Ranked = (Long, Long, Int, Double) // (scene, track or bundle id, rank, score or severity)
+    type Ranked = (String, Long, Long, Int, Double) // (method or "", scene, track or bundle id, rank, score or severity)
     def withPartitions[A](n: Int)(body: => A): A = {
       val before = ss.conf.get("spark.sql.shuffle.partitions")
       ss.conf.set("spark.sql.shuffle.partitions", n.toString)
@@ -158,7 +212,7 @@ class FixySpec extends SparkSpec {
     }
     // Scene-local ids: association packs the scene id above SceneStride.
     def local(rs: Seq[Ranked]): Seq[Ranked] =
-      rs.map { case (s, id, rank, score) => (s, id % Association.SceneStride, rank, score) }.sorted
+      rs.map { case (m, s, id, rank, score) => (m, s, id % Association.SceneStride, rank, score) }.sorted
     // `relabels`: the ranking may not depend on scene ids. MA(rand) hashes the
     // track id, which holds the scene id, so relabelling may change it.
     final case class Ranker(name: String, spec: DatasetSpec, modelOnly: Boolean, id: String, score: String,
@@ -174,10 +228,18 @@ class FixySpec extends SparkSpec {
       Ranker("MA(rand, seed 3)", missingTracks, false, "trackId", "severity", false,
         ModelAssertions.consistency(_, "rand", seed = 3)),
       Ranker("uncertainty", modelErrors, true, "trackId", "severity", true, Uncertainty.rankTracks(_)),
+      Ranker("one pass: Table 3", missingTracks, false, "trackId", "score", false,
+        Fixy.rankTracks(_, table3Rankings: _*).toDF()),
+      Ranker("one pass: §8.4", modelErrors, true, "trackId", "score", true,
+        t => Fixy.rankGlobally(Fixy.rankTracks(t, modelErrorRankings: _*), "trackId")),
     )
     for (r <- rankers) {
-      def rank(t: Dataset[TrackedObs]): Seq[Ranked] = r.ranker(t)
-        .select(col("scene"), col(r.id), col("rank"), col(r.score)).as[(Long, Long, Int, Double)].collect().toSeq.sorted
+      def rank(t: Dataset[TrackedObs]): Seq[Ranked] = {
+        val df = r.ranker(t)
+        val method = if (df.columns.contains("method")) col("method") else lit("")
+        df.select(method, col("scene"), col(r.id), col("rank"), col(r.score)).as[(String, Long, Long, Int, Double)]
+          .collect().toSeq.sorted
+      }
       val tracked = assoc(r.spec, r.modelOnly, identity)
       val base = withPartitions(64)(rank(tracked))
       assert(base.nonEmpty, r.name)
@@ -185,7 +247,7 @@ class FixySpec extends SparkSpec {
       assert(withPartitions(1)(rank(tracked)) == base, s"${r.name}: 1 vs 64 shuffle partitions")
       if (r.relabels) {
         val relabelled = assoc(r.spec, r.modelOnly, relabel)
-        assert(local(rank(relabelled)) == local(base.map { case (s, i, rk, sc) => (relabel(s), i, rk, sc) }),
+        assert(local(rank(relabelled)) == local(base.map { case (m, s, i, rk, sc) => (m, relabel(s), i, rk, sc) }),
           s"${r.name}: scene ids relabelled s -> 3s + 7")
         relabelled.unpersist()
       }
@@ -388,7 +450,8 @@ class FixySpec extends SparkSpec {
   test("scores are finite for every track") {
     val spec = PerceptionData.internalTrain.copy(nScenes = 2)
     val tracked = Association.assignTracks(PerceptionData.observations(spec), cfg.assoc)
-    val scores = Fixy.rankTracks(tracked, _ => true)(Fixy.eq2(Fixy.driverFeatures(learned, cfg))).collect().map(_.score)
+    val scores = Fixy.rankTracks(tracked, "all" -> Fixy.Ranking(_ => true, Fixy.eq2(Fixy.driverFeatures(learned, cfg))))
+      .collect().map(_.score)
     assert(scores.nonEmpty)
     assert(scores.forall(s => !s.isNaN && !s.isInfinity))
   }
@@ -400,7 +463,8 @@ class FixySpec extends SparkSpec {
     }
     val tracked = Association.assignTracks(toDs(plausible ++ implausible), cfg.assoc).cache()
     def scores(invert: Boolean): Map[String, Double] =
-      Fixy.rankTracks(tracked, _ => true)(Fixy.eq2(Fixy.driverFeatures(learned, cfg, useDistance = false, invert = invert)))
+      Fixy.rankTracks(tracked,
+        "all" -> Fixy.Ranking(_ => true, Fixy.eq2(Fixy.driverFeatures(learned, cfg, useDistance = false, invert = invert))))
         .collect().map(t => t.cls -> t.score).toMap
     val id = scores(invert = false)
     val inv = scores(invert = true)

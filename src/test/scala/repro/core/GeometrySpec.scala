@@ -6,8 +6,7 @@ class GeometrySpec extends AnyFunSuite {
   private val rng = new java.util.Random(42)
   private def randBox(): Box =
     Box(rng.nextDouble() * 20 - 10, rng.nextDouble() * 20 - 10,
-        0.5 + rng.nextDouble() * 8, 0.5 + rng.nextDouble() * 3,
-        0.0, 0.5 + rng.nextDouble() * 3)
+        0.5 + rng.nextDouble() * 8, 0.5 + rng.nextDouble() * 3)
 
   test("overlap1d: identical intervals overlap fully") {
     assert(Geometry.overlap1d(0, 4, 0, 4) === 4.0)
@@ -75,17 +74,11 @@ class GeometrySpec extends AnyFunSuite {
     assert(math.abs(Geometry.iou(Box(5, 5, 4, 2), Box(5, 5, 2, 1)) - 0.25) < 1e-12)
   }
 
-  test("volume is l*w*h") {
-    assert(math.abs(Box(0, 0, 4.5, 1.9, 0, 1.7).volume - 4.5 * 1.9 * 1.7) < 1e-12)
-  }
   test("area is l*w") {
     assert(math.abs(Box(1, 2, 3, 4).area - 12.0) < 1e-12)
   }
   test("centroid averages each coordinate of its boxes") {
-    assert(Geometry.centroid(Seq(Box(0, 0, 2, 1, 0, 1), Box(2, 4, 4, 3, 1, 3))) == Box(1, 2, 3, 2, 0.5, 2))
-  }
-  test("distanceToAv is the hypotenuse") {
-    assert(math.abs(Box(3, 4, 1, 1).distanceToAv - 5.0) < 1e-12)
+    assert(Geometry.centroid(Seq(Box(0, 0, 2, 1), Box(2, 4, 4, 3))) == Box(1, 2, 3, 2))
   }
   test("centerDistance matches euclidean distance") {
     assert(math.abs(Geometry.centerDistance(Box(0, 0, 1, 1), Box(3, 4, 1, 1)) - 5.0) < 1e-12)
