@@ -61,7 +61,7 @@ object ModelAssertions {
   /** The union of the three §8.4 assertions, as one predicate. */
   def flags(appearMinObs: Int): Loa.Track => Boolean = t => appears(appearMinObs)(t) || flickers(t) || multibox(t)
 
-  /** Ascending ids of the tracks [[flags]] flags: one task per scene. */
+  /** Ascending ids of the tracks [[flags]] flags: one per-scene pass. */
   def allFlagged(tracked: Dataset[TrackedObs], appearMinObs: Int = 2)(implicit spark: SparkSession): Seq[Long] = {
     import spark.implicits._
     Fixy.perScene(tracked)((_, tracks) => tracks.filter(flags(appearMinObs)).map(_.trackId)).collect().toSeq.sorted

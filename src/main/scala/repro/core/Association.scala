@@ -1,6 +1,7 @@
 package repro.core
 
-import org.apache.spark.sql.{Dataset, SparkSession}
+import org.apache.spark.sql.{Dataset, Encoder, Encoders, SparkSession}
+import org.apache.spark.sql.functions.col
 
 /** Association substrate (§3 "the analyst first associates observations"):
   *
@@ -14,8 +15,8 @@ import org.apache.spark.sql.{Dataset, SparkSession}
   *
   * The per-scene algorithm is pure Scala (exhaustive O(n²)-per-frame pairing +
   * union-find) so it can be unit-tested without Spark; `assignTracks` shards
-  * it over scenes with `groupByKey(scene).flatMapGroups` — scenes are
-  * independent, so this is embarrassingly parallel.
+  * it over scenes with [[byScene]] — scenes are independent, so this is
+  * embarrassingly parallel.
   */
 object Association {
 
@@ -137,9 +138,27 @@ object Association {
     }
   }
 
-  /** Distributed wrapper: one `assignScene` task per scene. */
+  /** The per-scene pass every Spark phase runs: `f` gets a scene id and that
+    * scene's rows of `ds`, which has a `scene` column.
+    *
+    * The rows are shuffled by `scene` once, into as many partitions as `ds`
+    * has (at least 1), and grouped on that column, so the grouping reuses the
+    * shuffle's hash partitioning. The width is set here because AQE never
+    * coalesces the shuffle of a plan that is cached (Spark leaves
+    * `canChangeCachedPlanOutputPartitioning` off), so a pass that let the
+    * session pick would keep `spark.sql.shuffle.partitions`, mostly empty,
+    * for every later read of its cached output. Reading `ds`'s width runs any
+    * shuffle of its own a second time, unless `ds` is cached; every caller
+    * passes a cached or shuffle-free input.
+    */
+  private[repro] def byScene[A, B: Encoder](ds: Dataset[A])(f: (Long, Iterator[A]) => IterableOnce[B]): Dataset[B] =
+    ds.repartition(math.max(1, ds.rdd.getNumPartitions), col("scene"))
+      .groupBy(col("scene")).as[Long, A](Encoders.scalaLong, ds.encoder)
+      .flatMapGroups(f)
+
+  /** Distributed wrapper: one `assignScene` call per scene. */
   def assignTracks(obs: Dataset[Obs], cfg: Config = Config())(implicit spark: SparkSession): Dataset[TrackedObs] = {
     import spark.implicits._
-    obs.groupByKey(_.scene).flatMapGroups { (_, it) => assignScene(it.toSeq, cfg) }
+    byScene(obs)((_, it) => assignScene(it.toSeq, cfg))
   }
 }

@@ -10,7 +10,7 @@ import repro.core.Loa._
   *
   *   Σ_factors ln(max(ε, AOF(likelihood))) / #factors   (Eq. 2 + §6 normalization)
   *
-  * This is the scorer [[Fixy]] runs, one Spark task per scene; a DataFrame
+  * This is the scorer [[Fixy]] runs, one scene at a time; a DataFrame
   * formulation of the same feature set is kept in the tests as an independent
   * reference.
   */

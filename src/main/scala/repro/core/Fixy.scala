@@ -2,7 +2,7 @@ package repro.core
 
 import scala.jdk.CollectionConverters._
 
-import org.apache.spark.sql.{DataFrame, Dataset, Encoder, Encoders, Row, SparkSession}
+import org.apache.spark.sql.{DataFrame, Dataset, Encoder, Row, SparkSession}
 
 /** A class-conditional learned distribution (§5.2): a KDE per class with
   * enough training samples, and the pooled (all-class) KDE that every other
@@ -69,8 +69,9 @@ final case class ScoredBundle(
 
 /** Fixy (§3): offline feature-distribution learning over existing labels and
   * online scoring/ranking of potential errors. Scenes are independent, so each
-  * phase is one Spark pass with one task per scene
-  * (`groupByKey(scene).flatMapGroups`) that runs the pure-Scala LOA model:
+  * phase is one scene-width Spark pass ([[Association.byScene]]: one shuffle
+  * by scene, into as many partitions as its input has) that runs, scene by
+  * scene, the pure-Scala LOA model:
   * [[Association.assignScene]], [[Loa.fromTracked]] and
   * [[FactorGraph.compileTrack]] over [[driverFeatures]]; [[rankTracks]] ranks
   * a scene under every [[Ranking]] (Fixy's and the baselines') at once.
@@ -101,15 +102,15 @@ object Fixy {
     * in `obs`. Labels may themselves contain errors — the paper's point is
     * that the aggregate distributions are still informative.
     *
-    * One task per scene associates the scene's human labels and emits every
-    * instance ([[Loa.instances]]) of every learned feature; the samples are
-    * collected once and fitted on the driver: a KDE per class with at least
-    * `minClassSamples` samples, plus the pooled KDE.
+    * One [[Association.byScene]] pass associates each scene's human labels
+    * and emits every instance ([[Loa.instances]]) of every learned feature;
+    * the samples are collected once and fitted on the driver: a KDE per class
+    * with at least `minClassSamples` samples, plus the pooled KDE.
     */
   def learn(obs: Dataset[Obs], cfg: FixyConfig = FixyConfig())(implicit spark: SparkSession): LearnedModel = {
     import spark.implicits._
     val features = learnedFeatures(cfg)
-    val samples = obs.filter(_.source == Sources.Human).groupByKey(_.scene).flatMapGroups { (_, rows) =>
+    val samples = Association.byScene(obs.filter(_.source == Sources.Human)) { (_, rows) =>
       Loa.fromTracked(Association.assignScene(rows.toSeq, cfg.assoc)).flatMap(_.tracks).flatMap { t =>
         features.flatMap(f => Loa.instances(t, f).map(i => Sample(f.name, i.cls, i.value)))
       }
@@ -151,24 +152,23 @@ object Fixy {
   }
 
   // --------------------------------------------------------------------------
-  // Online phase: one task per scene rebuilds the scene's tracks; filters,
-  // severities and per-scene ranks are applied inside the task.
+  // Online phase: one per-scene pass rebuilds each scene's tracks; filters,
+  // severities and per-scene ranks are applied inside the pass.
   // --------------------------------------------------------------------------
 
-  /** One task per scene: `f` gets the scene id and its tracks in id order. */
+  /** One [[Association.byScene]] pass: `f` gets the scene id and its tracks in id order. */
   private[repro] def perScene[T: Encoder](tracked: Dataset[TrackedObs])(f: (Long, Seq[Loa.Track]) => Seq[T]): Dataset[T] =
-    tracked.groupByKey(_.scene)(Encoders.scalaLong)
-      .flatMapGroups((scene, rows) => f(scene, Loa.fromTracked(rows.toSeq).flatMap(_.tracks)))
+    Association.byScene(tracked)((scene, rows) => f(scene, Loa.fromTracked(rows.toSeq).flatMap(_.tracks)))
 
   /** A track ranking: the tracks that pass `keep` (the hard filters) by
     * `severity`, Eq. 2 ([[eq2]]) for Fixy and ad-hoc for the baselines.
     */
   final case class Ranking(keep: Loa.Track => Boolean, severity: Loa.Track => Double)
 
-  /** The one track-ranking pass: one task per scene rebuilds the scene's tracks
-    * once and ranks them under each named ranking. A ranking's rows carry its
-    * name as `method`, its kept tracks' statistics and `severity` as `score`,
-    * and the per-scene rank: highest first, ties to the smaller track id.
+  /** The one track-ranking pass: each scene's tracks are rebuilt once and
+    * ranked under each named ranking. A ranking's rows carry its name as
+    * `method`, its kept tracks' statistics and `severity` as `score`, and the
+    * per-scene rank: highest first, ties to the smaller track id.
     */
   private[repro] def rankTracks(tracked: Dataset[TrackedObs], rankings: (String, Ranking)*)(
       implicit spark: SparkSession): Dataset[ScoredTrack] = {

@@ -6,7 +6,7 @@ package repro.core
   *
   * This object model is the semantics of LOA that [[Fixy]] runs: its Spark
   * jobs rebuild each scene with [[fromTracked]] and score it through
-  * [[FactorGraph]], one task per scene.
+  * [[FactorGraph]], one scene at a time.
   */
 object Loa {
 

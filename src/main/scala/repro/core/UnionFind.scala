@@ -33,8 +33,6 @@ final class UnionFind(n: Int) {
     }
   }
 
-  def connected(x: Int, y: Int): Boolean = find(x) == find(y)
-
   /** Dense component ids in [0, #components), stable in element order. */
   def componentIds: Array[Int] = {
     val ids = new Array[Int](parent.length)

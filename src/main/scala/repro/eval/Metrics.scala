@@ -2,7 +2,7 @@ package repro.eval
 
 import scala.jdk.CollectionConverters._
 
-import org.apache.spark.sql.{DataFrame, Dataset, Encoders, Row, SparkSession}
+import org.apache.spark.sql.{DataFrame, Dataset, Encoders, Row}
 import org.apache.spark.sql.functions.col
 import org.apache.spark.sql.types.{BooleanType, LongType}
 
@@ -54,8 +54,7 @@ object Metrics {
     * proposals: a proposal is a true error iff its majority object is in the
     * answer key ([[missingObjects]]).
     */
-  def labelMissingTrackProposals(ranked: DataFrame, tracked: Dataset[TrackedObs], truth: Dataset[TruthRow])(
-      implicit spark: SparkSession): DataFrame = {
+  def labelMissingTrackProposals(ranked: DataFrame, tracked: Dataset[TrackedObs], truth: Dataset[TruthRow]): DataFrame = {
     val answerKey = missingObjects(truth).map(_.trueId).toSet
     label(ranked, tracked, "trackId")((_, obj) => answerKey(obj))
   }
@@ -63,7 +62,7 @@ object Metrics {
   /** Attach `isError` for the §8.4 model-error experiment: any track whose
     * majority id is not a real object (ghost or novel error).
     */
-  def labelModelErrorProposals(ranked: DataFrame, tracked: Dataset[TrackedObs])(implicit spark: SparkSession): DataFrame =
+  def labelModelErrorProposals(ranked: DataFrame, tracked: Dataset[TrackedObs]): DataFrame =
     label(ranked, tracked, "trackId")((_, obj) => obj < 0)
 
   /** Attach the bundle's object (`majTrueId`) and `isError` to ranked §8.3
@@ -136,7 +135,7 @@ object Metrics {
       tracked: Dataset[TrackedObs],
       truth: Dataset[TruthRow],
       k: Int = 10,
-  )(implicit spark: SparkSession): (Long, Long) = {
+  ): (Long, Long) = {
     val labeled = labelMissingTrackProposals(ranked, tracked, truth).select("scene", "cls", "rank", "isError", "majTrueId")
     val found = labeled.collect().toSeq.groupMap(r => (r.getLong(0), r.getString(1)))(identity).values
       .flatMap(_.sortBy(_.getInt(2)).take(k)).collect { case Row(_, _, _, true, obj: Long) => obj }.toSet

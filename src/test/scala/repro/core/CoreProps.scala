@@ -80,7 +80,7 @@ object UnionFindProps extends Properties("UnionFind") {
       val (ra, rb) = (ref(a), ref(b))
       if (ra != rb) ref.indices.foreach(i => if (ref(i) == rb) ref(i) = ra)
     }
-    (0 until n).forall(i => (0 until n).forall(j => uf.connected(i, j) == (ref(i) == ref(j))))
+    (0 until n).forall(i => (0 until n).forall(j => (uf.find(i) == uf.find(j)) == (ref(i) == ref(j))))
   }
   property("componentIds dense from 0") = forAll(genOps) { case (n, ops) =>
     val uf = new UnionFind(n)

@@ -195,7 +195,7 @@ class FixySpec extends SparkSpec {
     assert(e.getMessage.contains("duplicate ranking names: fixy"), e.getMessage)
   }
 
-  // --- metamorphic: rankings ignore row order, shuffle partitioning and scene ids
+  // --- metamorphic: rankings ignore row order, partitioning and scene ids
 
   test("rankings are unchanged by input row order and shuffle partition count") {
     import ss.implicits._
@@ -245,6 +245,8 @@ class FixySpec extends SparkSpec {
       assert(base.nonEmpty, r.name)
       assert(rank(tracked.orderBy(rand(7))) == base, s"${r.name}: shuffled input rows")
       assert(withPartitions(1)(rank(tracked)) == base, s"${r.name}: 1 vs 64 shuffle partitions")
+      // A per-scene pass shuffles into as many partitions as its input has.
+      for (n <- Seq(1, 64)) assert(rank(tracked.repartition(n)) == base, s"${r.name}: $n input partitions")
       if (r.relabels) {
         val relabelled = assoc(r.spec, r.modelOnly, relabel)
         assert(local(rank(relabelled)) == local(base.map { case (m, s, i, rk, sc) => (m, relabel(s), i, rk, sc) }),

@@ -6,12 +6,12 @@ class UnionFindSpec extends AnyFunSuite {
 
   test("fresh structure has every element in its own component") {
     val uf = new UnionFind(5)
-    for (i <- 0 until 5; j <- 0 until 5 if i != j) assert(!uf.connected(i, j))
+    for (i <- 0 until 5; j <- 0 until 5 if i != j) assert(uf.find(i) != uf.find(j))
   }
   test("union connects two elements") {
     val uf = new UnionFind(3)
     uf.union(0, 2)
-    assert(uf.connected(0, 2) && !uf.connected(0, 1))
+    assert(uf.find(0) == uf.find(2) && uf.find(0) != uf.find(1))
   }
   test("union returns true only for new merges") {
     val uf = new UnionFind(3)
@@ -22,8 +22,8 @@ class UnionFindSpec extends AnyFunSuite {
   test("connectivity is transitive") {
     val uf = new UnionFind(4)
     uf.union(0, 1); uf.union(1, 2)
-    assert(uf.connected(0, 2))
-    assert(!uf.connected(0, 3))
+    assert(uf.find(0) == uf.find(2))
+    assert(uf.find(0) != uf.find(3))
   }
   test("componentIds are dense and consistent") {
     val uf = new UnionFind(6)
@@ -59,7 +59,7 @@ class UnionFindSpec extends AnyFunSuite {
       for (i <- 0 until n) if (ref(i) == rb) ref(i) = ra
     }
     for (i <- 0 until n; j <- 0 until n)
-      assert(uf.connected(i, j) == (ref(i) == ref(j)), s"mismatch at ($i,$j)")
+      assert((uf.find(i) == uf.find(j)) == (ref(i) == ref(j)), s"mismatch at ($i,$j)")
   }
   test("size-zero structure is legal") {
     val uf = new UnionFind(0)

@@ -179,6 +179,11 @@ class MetricsSpec extends SparkSpec {
     assert(judge(rank(tracked), tracked.orderBy(rand(7))) == base, "shuffled tracked rows")
     assert(judge(rank(tracked).orderBy(rand(7)), tracked) == base, "shuffled ranking rows")
     assert(withPartitions(1)(judge(rank(tracked), tracked)) == base, "1 vs 64 shuffle partitions")
+    // A per-scene pass shuffles into as many partitions as its input has.
+    for (n <- Seq(1, 64)) {
+      val t = tracked.repartition(n)
+      assert(judge(rank(t), t) == base, s"$n input partitions")
+    }
   }
 
   test("a real majority tie decides a published number: MA(rand, seed 4) on lyftEval") {
