@@ -1,7 +1,6 @@
 package repro.bench
 
 import repro.SparkSpec
-import repro.eval.Experiments
 
 /** Reproduces §8.3: a single consistent missing observation injected inside a
   * human-labeled track is ranked at the top of the candidate bundles, ahead of
@@ -9,10 +8,7 @@ import repro.eval.Experiments
   */
 class MissingObsBench extends SparkSpec {
 
-  private lazy val result = {
-    implicit val ss = spark
-    Experiments.missingObsExperiment
-  }
+  private lazy val result = ExperimentsRun.results.missingObs
 
   test("missing observation: print paper vs measured") {
     println(f"%n=== §8.3 missing observation within a track ===")

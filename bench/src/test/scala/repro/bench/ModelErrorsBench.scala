@@ -1,7 +1,6 @@
 package repro.bench
 
 import repro.SparkSpec
-import repro.eval.Experiments
 
 /** Reproduces §8.4: finding novel ML-prediction errors after excluding
   * everything the ad-hoc MAs (appear / flicker / multibox) already flag.
@@ -12,10 +11,7 @@ import repro.eval.Experiments
   */
 class ModelErrorsBench extends SparkSpec {
 
-  private lazy val result = {
-    implicit val ss = spark
-    Experiments.modelErrorsExperiment
-  }
+  private lazy val result = ExperimentsRun.results.modelErrors
 
   test("model errors: print paper vs measured") {
     println(f"%n=== §8.4 novel model-prediction errors ===")

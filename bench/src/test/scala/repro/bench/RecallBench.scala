@@ -1,7 +1,6 @@
 package repro.bench
 
 import repro.SparkSpec
-import repro.eval.Experiments
 
 /** Reproduces the §8.2 recall experiment: the exhaustively audited internal
   * scene contains 24 missing tracks; Fixy found 18 (75%) within the top-10
@@ -11,10 +10,7 @@ import repro.eval.Experiments
   */
 class RecallBench extends SparkSpec {
 
-  private lazy val result = {
-    implicit val ss = spark
-    Experiments.recallExperiment
-  }
+  private lazy val result = ExperimentsRun.results.recall
 
   test("recall: print paper vs measured") {
     println(f"%n=== §8.2 recall on the audited scene ===")

@@ -1,7 +1,6 @@
 package repro.bench
 
 import repro.SparkSpec
-import repro.eval.Experiments
 
 /** Reproduces Table 3 (§8.2): precision@{10,5,1} for finding tracks entirely
   * missed by human labels — Fixy vs the ad-hoc consistency MA with random and
@@ -17,10 +16,7 @@ import repro.eval.Experiments
   */
 class Table3Bench extends SparkSpec {
 
-  private lazy val result = {
-    implicit val ss = spark
-    Experiments.table3
-  }
+  private lazy val result = ExperimentsRun.results.table3
 
   private val paper = Map(
     ("FIXY", "Lyft") -> ((0.69, 0.70, 0.67)),

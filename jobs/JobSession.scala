@@ -1,0 +1,14 @@
+package repro.jobs
+
+import org.apache.spark.sql.SparkSession
+
+/** Shared session builder for the spark-submit entrypoints. */
+object JobSession {
+  def build(name: String): SparkSession =
+    SparkSession.builder()
+      .master(sys.env.getOrElse("SPARK_MASTER", "local[*]"))
+      .appName(name)
+      .config("spark.sql.shuffle.partitions", sys.env.getOrElse("SPARK_SHUFFLE_PARTITIONS", "64"))
+      .config("spark.sql.autoBroadcastJoinThreshold", -1)
+      .getOrCreate()
+}

@@ -160,6 +160,12 @@ object Fixy {
   private[repro] def perScene[T: Encoder](tracked: Dataset[TrackedObs])(f: (Long, Seq[Loa.Track]) => Seq[T]): Dataset[T] =
     Association.byScene(tracked)((scene, rows) => f(scene, Loa.fromTracked(rows.toSeq).flatMap(_.tracks)))
 
+  /** The one ranking order: highest `score` first, ties to the smaller `id`;
+    * `withRank` sets each row's rank, from 1.
+    */
+  private def inRankOrder[R](rows: Seq[R])(score: R => Double, id: R => Long)(withRank: (R, Int) => R): Seq[R] =
+    rows.sortBy(r => (-score(r), id(r))).zipWithIndex.map { case (r, i) => withRank(r, i + 1) }
+
   /** A track ranking: the tracks that pass `keep` (the hard filters) by
     * `severity`, Eq. 2 ([[eq2]]) for Fixy and ad-hoc for the baselines.
     */
@@ -168,7 +174,7 @@ object Fixy {
   /** The one track-ranking pass: each scene's tracks are rebuilt once and
     * ranked under each named ranking. A ranking's rows carry its name as
     * `method`, its kept tracks' statistics and `severity` as `score`, and the
-    * per-scene rank: highest first, ties to the smaller track id.
+    * per-scene rank ([[inRankOrder]]).
     */
   private[repro] def rankTracks(tracked: Dataset[TrackedObs], rankings: (String, Ranking)*)(
       implicit spark: SparkSession): Dataset[ScoredTrack] = {
@@ -177,28 +183,27 @@ object Fixy {
     require(names.distinct == names, s"duplicate ranking names: ${names.diff(names.distinct).distinct.mkString(", ")}")
     perScene(tracked) { (scene, tracks) =>
       rankings.flatMap { case (method, Ranking(keep, severity)) =>
-        tracks.filter(keep).map { t =>
+        inRankOrder(tracks.filter(keep).map { t =>
           val obs = t.allObs
           val conf = t.modelConf
           ScoredTrack(method, scene, t.trackId, severity(t), nObs = obs.size, nHuman = obs.count(_.source == Sources.Human),
             nModel = conf.size, nFrames = t.bundles.map(_.frame).distinct.size, meanConf = t.meanConf,
             maxConf = conf.maxOption, cls = obs.map(_.cls).min, rank = 0)
-        }.sortBy(t => (-t.score, t.trackId)).zipWithIndex.map { case (t, i) => t.copy(rank = i + 1) }
+        })(_.score, _.trackId)((t, rank) => t.copy(rank = rank))
       }
     }
   }
 
   /** Rank each `method`'s rows (all rows, if there is no `method`) as one list
-    * across scenes, on the driver (the scored rows are few): highest score
-    * first, ties to the smaller `id`. `rank` is renumbered in a local frame.
+    * across scenes, on the driver (the scored rows are few), in
+    * [[inRankOrder]] by `score` and `id`. `rank` is renumbered in a local frame.
     */
   private[repro] def rankGlobally(ranked: Dataset[_], id: String): DataFrame = {
     val df = ranked.toDF()
     val Seq(score, key, rank) = Seq("score", id, "rank").map(df.schema.fieldIndex)
     val method = df.columns.indexOf("method")
-    val rows = df.collect().groupBy(r => if (method < 0) "" else r.getString(method)).values.toSeq.flatMap {
-      _.sortBy(r => (-r.getDouble(score), r.getLong(key))).zipWithIndex
-        .map { case (r, i) => Row.fromSeq(r.toSeq.updated(rank, i + 1)) }
+    val rows = df.collect().toSeq.groupBy(r => if (method < 0) "" else r.getString(method)).values.toSeq.flatMap {
+      inRankOrder(_)(_.getDouble(score), _.getLong(key))((r, i) => Row.fromSeq(r.toSeq.updated(rank, i)))
     }
     df.sparkSession.createDataFrame(rows.asJava, df.schema)
   }
@@ -261,7 +266,7 @@ object Fixy {
             ScoredBundle(scene, t.trackId, b.id, b.frame, FactorGraph.scoreBundle(t, compiled, k), b.obs.size, b.cls, 0)
         }
       }
-      candidates.sortBy(b => (-b.score, b.bundleId)).zipWithIndex.map { case (b, i) => b.copy(rank = i + 1) }
+      inRankOrder(candidates)(_.score, _.bundleId)((b, rank) => b.copy(rank = rank))
     }.toDF()
   }
 

@@ -7,10 +7,10 @@ import repro.baselines.{ModelAssertions, Uncertainty}
 import repro.core._
 import repro.perception.{DatasetSpec, PerceptionData, TruthRow}
 
-/** One runner per evaluation table/number (DESIGN.md per-table index). The
-  * bench suites and the spark-submit jobs both call into this object so the
-  * numbers in EXPERIMENTS.md come from a single code path. The runners only
-  * wire rankers to [[Metrics]], which alone judges the proposals.
+/** The four §8 results from one run (DESIGN.md per-table index). The bench
+  * suites and the spark-submit job both call [[run]], so the numbers in
+  * EXPERIMENTS.md come from a single code path. The run only wires rankers to
+  * [[Metrics]], which alone judges the proposals.
   */
 object Experiments {
 
@@ -20,91 +20,96 @@ object Experiments {
   final case class MissingObsResult(goodRank: Long, nCandidates: Long)
   final case class ModelErrorsResult(fixyP10: Double, uncertaintyP10: Double, maxConfAmongFixyHits: Double)
 
+  /** Table 3, §8.2 recall, §8.3 and §8.4 of one run. */
+  final case class Results(table3: Table3Result, recall: RecallResult, missingObs: MissingObsResult, modelErrors: ModelErrorsResult)
+
   private val cfg = FixyConfig()
 
-  /** Learn on `train`; run `body` on `eval`'s associated observations (model
-    * ones only when `modelOnly`) and ground truth, both cached for the run.
+  /** Run `body` on `eval`'s associated observations (model ones only when
+    * `modelOnly`) and ground truth, both cached for the call.
     */
-  private def onEval[A](train: DatasetSpec, eval: DatasetSpec, modelOnly: Boolean = false)(
-      body: (LearnedModel, Dataset[TrackedObs], Dataset[TruthRow]) => A)(implicit spark: SparkSession): A = {
-    val learned = Fixy.learn(PerceptionData.observations(train), cfg)
+  private def onEval[A](eval: DatasetSpec, modelOnly: Boolean = false)(
+      body: (Dataset[TrackedObs], Dataset[TruthRow]) => A)(implicit spark: SparkSession): A = {
     val obs = PerceptionData.observations(eval)
     val tracked = Association.assignTracks(if (modelOnly) obs.filter(_.source == Sources.Model) else obs, cfg.assoc).cache()
     val truth = PerceptionData.truth(eval).cache()
-    try body(learned, tracked, truth) finally { tracked.unpersist(); truth.unpersist() }
+    try body(tracked, truth) finally { tracked.unpersist(); truth.unpersist() }
   }
 
   private def of(labeled: DataFrame, method: String): DataFrame = labeled.where(col("method") === method)
 
-  /** Shared per-dataset leg of Table 3: learn on `train`, rank `eval`'s
-    * model-only tracks with Fixy and both ad-hoc MA orderings (one pass),
-    * measure precision@{10,5,1} over the scenes that contain missing tracks.
+  /** One leg of Table 3: rank the model-only tracks with Fixy and both ad-hoc
+    * MA orderings (one pass), measure precision@{10,5,1} over the scenes that
+    * contain missing tracks. Returns the rows, Fixy's scene coverage at
+    * top-10 and Fixy's ranking.
     */
-  private def table3Leg(dataset: String, train: DatasetSpec, eval: DatasetSpec)(
-      implicit spark: SparkSession): (Seq[Table3Row], Double) =
-    onEval(train, eval) { (learned, tracked, truth) =>
-      // The random severity ordering is a draw from a distribution; average a
-      // few seeds so the baseline row reports its expectation rather than one
-      // lucky/unlucky shuffle (the paper's protocol, one audit, cannot be
-      // re-drawn — ours can).
-      val randSeeds = 1L to 5L
-      val rankings = Seq(
-        "fixy" -> Fixy.missingTracks(learned, cfg),
-        "ma-conf" -> ModelAssertions.consistency("conf", cfg.minTrackObs, seed = 0),
-      ) ++ randSeeds.map(s => s"ma-rand-$s" -> ModelAssertions.consistency("rand", cfg.minTrackObs, seed = s))
-      val labeled = Metrics.labelMissingTrackProposals(Fixy.rankTracks(tracked, rankings: _*).toDF(), tracked, truth)
-      val scenes = Metrics.scenesWithMissing(truth)
-      def p(method: String)(k: Int): Double = Metrics.precisionAtK(of(labeled, method), scenes, k)
-      def row(name: String, pAt: Int => Double) = Table3Row(name, dataset, pAt(10), pAt(5), pAt(1))
-      val rows = Seq(
-        row("FIXY", p("fixy")),
-        row("Ad-hoc MA (rand)", k => randSeeds.map(s => p(s"ma-rand-$s")(k)).sum / randSeeds.size),
-        row("Ad-hoc MA (conf)", p("ma-conf")),
-      )
-      (rows, Metrics.sceneCoverageAtK(of(labeled, "fixy"), scenes, 10))
-    }
-
-  /** Table 3 (§8.2): both datasets, all three methods. */
-  def table3(implicit spark: SparkSession): Table3Result = {
-    val (lyftRows, lyftCov) = table3Leg("Lyft", PerceptionData.lyftTrain, PerceptionData.lyftEval)
-    val (intRows, _) = table3Leg("Internal", PerceptionData.internalTrain, PerceptionData.internalAudit)
-    Table3Result(lyftRows ++ intRows, lyftCov)
+  private def table3Leg(dataset: String, learned: LearnedModel, tracked: Dataset[TrackedObs], truth: Dataset[TruthRow])(
+      implicit spark: SparkSession): (Seq[Table3Row], Double, DataFrame) = {
+    // The random severity ordering is a draw from a distribution; average a
+    // few seeds so the baseline row reports its expectation rather than one
+    // lucky/unlucky shuffle (the paper's protocol, one audit, cannot be
+    // re-drawn — ours can).
+    val randSeeds = 1L to 5L
+    val rankings = Seq(
+      "fixy" -> Fixy.missingTracks(learned, cfg),
+      "ma-conf" -> ModelAssertions.consistency("conf", cfg.minTrackObs, seed = 0),
+    ) ++ randSeeds.map(s => s"ma-rand-$s" -> ModelAssertions.consistency("rand", cfg.minTrackObs, seed = s))
+    val labeled = Metrics.labelMissingTrackProposals(Fixy.rankTracks(tracked, rankings: _*).toDF(), tracked, truth)
+    val scenes = Metrics.scenesWithMissing(truth)
+    def p(method: String)(k: Int): Double = Metrics.precisionAtK(of(labeled, method), scenes, k)
+    def row(name: String, pAt: Int => Double) = Table3Row(name, dataset, pAt(10), pAt(5), pAt(1))
+    val rows = Seq(
+      row("FIXY", p("fixy")),
+      row("Ad-hoc MA (rand)", k => randSeeds.map(s => p(s"ma-rand-$s")(k)).sum / randSeeds.size),
+      row("Ad-hoc MA (conf)", p("ma-conf")),
+    )
+    val fixy = of(labeled, "fixy")
+    (rows, Metrics.sceneCoverageAtK(fixy, scenes, 10), fixy.drop("majTrueId", "isError"))
   }
 
-  /** §8.2 recall: the exhaustively audited internal scene (24 missing
-    * tracks), Fixy's top-10 ranked errors per class.
+  /** Learn each training split once, associate and rank each evaluation split
+    * once, and judge all four results.
     */
-  def recallExperiment(implicit spark: SparkSession): RecallResult =
-    onEval(PerceptionData.internalTrain, PerceptionData.internalAudit) { (learned, tracked, truth) =>
-      val (found, total) = Metrics.recallPerClassTopK(Fixy.rankMissingTracks(tracked, learned, cfg), tracked, truth, k = 10)
-      RecallResult(found, total)
+  def run(implicit spark: SparkSession): Results = {
+    import PerceptionData._
+    def learn(train: DatasetSpec) = Fixy.learn(observations(train), cfg)
+    val (lyft, internal) = (learn(lyftTrain), learn(internalTrain))
+
+    // Table 3 (§8.2): both datasets, all three methods.
+    val (lyftRows, lyftCoverage, _) = onEval(lyftEval)(table3Leg("Lyft", lyft, _, _))
+    // §8.2 recall: the exhaustively audited internal scene (24 missing
+    // tracks), Fixy's top-10 ranked errors per class, from its Table 3 ranking.
+    val (internalRows, recall) = onEval(internalAudit) { (tracked, truth) =>
+      val (rows, _, fixy) = table3Leg("Internal", internal, tracked, truth)
+      val (found, total) = Metrics.recallPerClassTopK(fixy, tracked, truth, k = 10)
+      (rows, RecallResult(found, total))
     }
 
-  /** §8.3: the injected consistent missing observation should rank at the top
-    * of the candidate bundles (`rank` is global, across all scenes/distractors).
-    */
-  def missingObsExperiment(implicit spark: SparkSession): MissingObsResult =
-    onEval(PerceptionData.internalTrain, PerceptionData.missingObsSim) { (learned, tracked, truth) =>
-      val ranked = Fixy.rankGlobally(Fixy.rankMissingObservations(tracked, learned, cfg), "bundleId")
+    // §8.3: the injected consistent missing observation should rank at the
+    // top of the candidate bundles (`rank` is global, across all
+    // scenes/distractors).
+    val missingObs = onEval(missingObsSim) { (tracked, truth) =>
+      val ranked = Fixy.rankGlobally(Fixy.rankMissingObservations(tracked, internal, cfg), "bundleId")
       val labeled = Metrics.labelMissingObsProposals(ranked, tracked, truth)
       MissingObsResult(Metrics.goodObservationRank(labeled), labeled.count())
     }
 
-  /** §8.4: model-error finding with no human labels — Fixy (inverted AOF,
-    * after excluding ad-hoc-MA-flagged tracks) vs uncertainty sampling in one
-    * pass, precision over the global top-10; plus the max confidence among
-    * Fixy's true-positive proposals (paper: errors with confidence up to 95%).
-    */
-  def modelErrorsExperiment(implicit spark: SparkSession): ModelErrorsResult =
-    onEval(PerceptionData.internalTrain, PerceptionData.modelErrorSim, modelOnly = true) { (learned, tracked, _) =>
+    // §8.4: model-error finding with no human labels — Fixy (inverted AOF,
+    // after excluding ad-hoc-MA-flagged tracks) vs uncertainty sampling in one
+    // pass, precision over the global top-10; plus the max confidence among
+    // Fixy's true-positive proposals (paper: errors with confidence up to 95%).
+    val modelErrors = onEval(modelErrorSim, modelOnly = true) { (tracked, _) =>
       // Strict appear setting (≤ 4 obs): short detection fragments are the
       // appear assertion's territory, and §8.4 searches for what the ad-hoc
       // MAs *cannot* find.
       val ranked = Fixy.rankTracks(tracked,
-        "fixy" -> Fixy.modelErrors(learned, cfg, excluded = ModelAssertions.flags(appearMinObs = 4)),
+        "fixy" -> Fixy.modelErrors(internal, cfg, excluded = ModelAssertions.flags(appearMinObs = 4)),
         "uncertainty" -> Uncertainty.ranking())
       val labeled = Metrics.labelModelErrorProposals(Fixy.rankGlobally(ranked, "trackId"), tracked)
       ModelErrorsResult(Metrics.globalPrecisionAtK(of(labeled, "fixy"), 10),
         Metrics.globalPrecisionAtK(of(labeled, "uncertainty"), 10), Metrics.maxConfAmongHits(of(labeled, "fixy"), 10))
     }
+
+    Results(Table3Result(lyftRows ++ internalRows, lyftCoverage), recall, missingObs, modelErrors)
+  }
 }

@@ -237,7 +237,10 @@ object PerceptionData {
         rng.nextGaussian(); rng.nextGaussian(); rng.nextGaussian()
         rng.nextGaussian(); rng.nextGaussian()
       }
-      if (rng.nextDouble() < detectionProb(d)) {
+      // The model predicts a "good" injected missing observation correctly;
+      // the draw is still taken, so the RNG stream stays aligned.
+      val goodInjection = o.missingObsKind == "good" && o.missingObsFrames.contains(f)
+      if (rng.nextDouble() < detectionProb(d) || goodInjection) {
         val distort = o.badObsFrames.contains(f)
         val dimScale = if (distort) 0.4 else 1.0
         obsOut += Obs(

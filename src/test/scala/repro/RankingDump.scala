@@ -27,9 +27,9 @@ import repro.perception.{DatasetSpec, PerceptionData}
   * member observation positions and the full-precision value, in compiled
   * order.
   *
-  * Then the [[repro.eval.Experiments]] results, at full precision: each
-  * Table 3 row and the lyft scene coverage, §8.2 recall, §8.3 and §8.4.
-  * Only public APIs are called, so the dump runs on older versions as well.
+  * Then the results of one [[repro.eval.Experiments.run]], at full
+  * precision: each Table 3 row and the lyft scene coverage, §8.2 recall, §8.3
+  * and §8.4. To compare two versions, each side runs its own dump.
   *
   * Run: `sbt "Test/runMain repro.RankingDump <out.tsv>"`
   */
@@ -84,12 +84,13 @@ object RankingDump {
       dump("model-errors/uncertainty", label(Uncertainty.rankTracks(tracked)), "trackId", "severity")
       tracked.unpersist()
 
-      val table3 = Experiments.table3
-      table3.rows.foreach(r => out.println(s"experiments/table3\t${r.method}\t${r.dataset}\t${r.p10}\t${r.p5}\t${r.p1}"))
-      out.println(s"experiments/table3\tlyft-scene-coverage\t${table3.lyftSceneCoverage}")
-      out.println(s"experiments/recall\t${Experiments.recallExperiment}")
-      out.println(s"experiments/missing-obs\t${Experiments.missingObsExperiment}")
-      out.println(s"experiments/model-errors\t${Experiments.modelErrorsExperiment}")
+      val experiments = Experiments.run
+      experiments.table3.rows.foreach(r =>
+        out.println(s"experiments/table3\t${r.method}\t${r.dataset}\t${r.p10}\t${r.p5}\t${r.p1}"))
+      out.println(s"experiments/table3\tlyft-scene-coverage\t${experiments.table3.lyftSceneCoverage}")
+      out.println(s"experiments/recall\t${experiments.recall}")
+      out.println(s"experiments/missing-obs\t${experiments.missingObs}")
+      out.println(s"experiments/model-errors\t${experiments.modelErrors}")
     } finally {
       out.close()
       spark.stop()

@@ -132,6 +132,17 @@ class PerceptionDataSpec extends SparkSpec {
     val p = PerceptionData.params(t.cls)
     assert(modelAt.head.l > p.l * 0.5)
   }
+  test("the model detects the good missing observation at every generator seed shift") {
+    // Shifted as a benchmark workload shifts a preset: seed + 1000 · shift.
+    val missed = (0 until 12).filterNot { shift =>
+      val spec = PerceptionData.missingObsSim.copy(seed = PerceptionData.missingObsSim.seed + 1000L * shift)
+      val (truth, obs) = PerceptionData.genScene(spec, 0)
+      val Seq(good) = truth.filter(_.missingObsKind == "good")
+      val Seq(f) = good.missingObsFrames
+      obs.exists(o => o.source == Sources.Model && o.trueId == good.trueId && o.frame == f)
+    }
+    assert(missed.isEmpty, s"no model observation at the good injected frame at shifts ${missed.mkString(", ")}")
+  }
   test("bad missing-obs injection distorts the model box") {
     val spec = PerceptionData.missingObsSim
     val (truth, obs) = PerceptionData.genScene(spec, 1) // scene 1: bad only
