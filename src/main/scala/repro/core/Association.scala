@@ -1,5 +1,7 @@
 package repro.core
 
+import scala.collection.immutable.ArraySeq
+
 import org.apache.spark.sql.{Dataset, Encoder, Encoders, SparkSession}
 import org.apache.spark.sql.functions.col
 
@@ -13,10 +15,10 @@ import org.apache.spark.sql.functions.col
   *     A gap tolerance > 1 lets a flickering detector stay in one track, which
   *     is what the flicker model assertion (§8.4) inspects.
   *
-  * The per-scene algorithm is pure Scala (exhaustive O(n²)-per-frame pairing +
-  * union-find) so it can be unit-tested without Spark; `assignTracks` shards
-  * it over scenes with [[byScene]] — scenes are independent, so this is
-  * embarrassingly parallel.
+  * The per-scene algorithm is pure Scala (a sweep over each frame plus
+  * union-find, see [[assignScene]]) so it can be unit-tested without Spark;
+  * `assignTracks` shards it over scenes with [[byScene]] — scenes are
+  * independent, so this is embarrassingly parallel.
   */
 object Association {
 
@@ -35,13 +37,22 @@ object Association {
     * cap reflects the largest plausible per-frame displacement (~14 m/s at
     * 5 Hz) so large boxes don't vacuum up their neighbours. Set the factor to
     * 0 to disable gating.
+    *
+    * Both IOU thresholds must be positive: boxes that do not overlap have
+    * IOU 0, and [[assignScene]] never compares them.
     */
   final case class Config(
       bundleIou: Double = 0.5,
       trackIou: Double = 0.1,
       maxGap: Int = 3,
       distGateFactor: Double = 0.8,
-      distGateCap: Double = 2.8)
+      distGateCap: Double = 2.8) {
+    require(bundleIou > 0 && bundleIou <= 1, s"Association.Config: bundleIou = $bundleIou is outside (0, 1]")
+    require(trackIou > 0 && trackIou <= 1, s"Association.Config: trackIou = $trackIou is outside (0, 1]")
+    require(maxGap >= 1, s"Association.Config: maxGap = $maxGap is below 1")
+    require(distGateFactor >= 0, s"Association.Config: distGateFactor = $distGateFactor is not >= 0")
+    require(distGateCap > 0, s"Association.Config: distGateCap = $distGateCap is not > 0")
+  }
 
   /** Scene-local ids are packed below this; scene id is the high digits. */
   val SceneStride: Long = 1000000L
@@ -58,75 +69,150 @@ object Association {
     if (o.source != Sources.Human && o.source != Sources.Model) fail("source", o.source, "is not human or model")
   }
 
+  /** The order ids are assigned in: (frame, source, trueId, x, y). */
+  private val idOrder: java.util.Comparator[Obs] = { (a, b) =>
+    var c = Integer.compare(a.frame, b.frame)
+    if (c == 0) c = a.source.compareTo(b.source)
+    if (c == 0) c = java.lang.Long.compare(a.trueId, b.trueId)
+    if (c == 0) c = java.lang.Double.compare(a.x, b.x)
+    if (c == 0) c = java.lang.Double.compare(a.y, b.y)
+    c
+  }
+
   /** Validate one scene's observations, then assign bundle and track ids.
     *
-    * Output order and ids are deterministic: input is sorted by
-    * (frame, source, trueId, x, y) before id assignment.
+    * Output order and ids are deterministic: input is stably sorted by
+    * (frame, source, trueId, x, y) before id assignment, so each frame is one
+    * run of rows, and bundle ids (dense, in row order) give each frame's
+    * bundles one id range, in frame order.
+    *
+    * Only pairs that can pass a threshold are compared, and each skip is
+    * exact:
+    *  - bundling sweeps each frame in order of box x-low, and stops a row's
+    *    scan at the first later row whose x-low is ≥ the row's x-high. Those
+    *    boxes do not overlap in x ([[Geometry.overlap1d]] is 0), so their IOU
+    *    is 0, below `bundleIou`;
+    *  - tracking computes a predecessor's IOU only if its box overlaps in x,
+    *    and its center distance only if the x offset alone is within the best
+    *    distance so far (the distance is at least the x offset). Candidates
+    *    are still visited in ascending id, so ties go to the larger id.
     */
   def assignScene(obsIn: Seq[Obs], cfg: Config = Config()): IndexedSeq[TrackedObs] = {
-    val obs = obsIn.toIndexedSeq.sortBy(o => (o.frame, o.source, o.trueId, o.x, o.y))
-    if (obs.isEmpty) return IndexedSeq.empty
+    if (obsIn.isEmpty) return IndexedSeq.empty
+    val obs = obsIn.toArray
     obs.foreach(validate)
-    require(obs.map(_.scene).distinct.size == 1, "assignScene expects a single scene")
-    val scene = obs.head.scene
+    val scene = obs(0).scene
+    require(obs.forall(_.scene == scene), "assignScene expects a single scene")
     val n = obs.length
     require(n <= SceneStride, // bundle and track ids are below n: keep them in the scene's id range
       s"assignScene: scene $scene has $n observations, more than SceneStride = $SceneStride")
+    java.util.Arrays.sort(obs, idOrder) // stable
+
+    // Frame runs: frame k's rows are [runStart(k), runStart(k + 1)).
+    val runStart = {
+      val b = Array.newBuilder[Int]
+      var i = 0
+      while (i < n) { if (i == 0 || obs(i).frame != obs(i - 1).frame) b += i; i += 1 }
+      b += n
+      b.result()
+    }
+    val nFrames = runStart.length - 1
+    val runFrame = Array.tabulate(nFrames)(k => obs(runStart(k)).frame)
+    val box = obs.map(_.box)
+    val xLo = obs.map(o => Geometry.lo(o.x, o.l))
+    val xHi = obs.map(o => Geometry.hi(o.x, o.l))
 
     // --- Bundling: union same-frame observations with IOU >= bundleIou. ---
-    val byFrame = obs.indices.groupBy(i => obs(i).frame)
     val ufObs = new UnionFind(n)
-    for ((_, idxs) <- byFrame) {
-      for (ai <- idxs.indices; bi <- (ai + 1) until idxs.length) {
-        val a = idxs(ai); val b = idxs(bi)
-        if (Geometry.iou(obs(a).box, obs(b).box) >= cfg.bundleIou) ufObs.union(a, b)
+    val byLo: Array[Integer] = Array.tabulate(n)(Integer.valueOf)
+    val byXLo: java.util.Comparator[Integer] = (a, b) => java.lang.Double.compare(xLo(a), xLo(b))
+    var k = 0
+    while (k < nFrames) {
+      val end = runStart(k + 1)
+      java.util.Arrays.sort(byLo, runStart(k), end, byXLo)
+      var i = runStart(k)
+      while (i < end) {
+        val a: Int = byLo(i)
+        var j = i + 1
+        while (j < end && xLo(byLo(j)) < xHi(a)) {
+          val b: Int = byLo(j)
+          if (Geometry.iou(box(a), box(b)) >= cfg.bundleIou) ufObs.union(a, b)
+          j += 1
+        }
+        i += 1
       }
+      k += 1
     }
     val bundleOfObs = ufObs.componentIds
     val nBundles = bundleOfObs.max + 1
+    // Frame k's bundles are [bundleStart(k), bundleStart(k + 1)).
+    val bundleStart = runStart.map(i => if (i < n) bundleOfObs(i) else nBundles)
 
-    // --- Representative box per bundle: the centroid of its member boxes. ---
-    val bundleMembers = Array.fill(nBundles)(List.empty[Int])
-    obs.indices.foreach(i => bundleMembers(bundleOfObs(i)) ::= i)
-    val bundleFrame = bundleMembers.map(ms => obs(ms.head).frame)
-    val bundleBox = bundleMembers.map(ms => Geometry.centroid(ms.map(obs(_).box)))
+    // --- Representative box per bundle: the centroid of its member boxes,
+    // each coordinate summed from the highest member row down. ---
+    val sx, sy, sl, sw = new Array[Double](nBundles)
+    val nMembers = new Array[Int](nBundles)
+    var i = n - 1
+    while (i >= 0) {
+      val b = bundleOfObs(i); val o = obs(i)
+      sx(b) += o.x; sy(b) += o.y; sl(b) += o.l; sw(b) += o.w; nMembers(b) += 1
+      i -= 1
+    }
+    val bundleBox = Array.tabulate(nBundles) { b =>
+      val m = nMembers(b)
+      Box(sx(b) / m, sy(b) / m, sl(b) / m, sw(b) / m)
+    }
 
     // --- Tracking: greedily match each bundle to its best predecessor. ---
-    val bundlesByFrame = (0 until nBundles).groupBy(bundleFrame)
-    val frames = bundlesByFrame.keys.toIndexedSeq.sorted
     val ufBundle = new UnionFind(nBundles)
-    for (f <- frames; b <- bundlesByFrame(f).sorted) {
-      // Nearest prior frame wins; within it, the highest-IOU bundle, falling
-      // back to the nearest bundle inside the distance gate.
-      val gateBase =
-        math.min(cfg.distGateFactor * math.max(bundleBox(b).l, bundleBox(b).w), cfg.distGateCap)
-      var gap = 1
-      var matched = false
-      while (!matched && gap <= cfg.maxGap) {
-        val prev = bundlesByFrame.getOrElse(f - gap, IndexedSeq.empty)
-        if (prev.nonEmpty) {
-          var best = -1
+    k = 0
+    while (k < nFrames) {
+      val f = runFrame(k).toLong
+      var b = bundleStart(k)
+      while (b < bundleStart(k + 1)) {
+        // Nearest prior frame wins; within it, the highest-IOU bundle, falling
+        // back to the nearest bundle inside the distance gate.
+        val bb = bundleBox(b)
+        val gateBase = math.min(cfg.distGateFactor * math.max(bb.l, bb.w), cfg.distGateCap)
+        var best = -1
+        var pk = k - 1
+        while (best < 0 && pk >= 0 && f - runFrame(pk) <= cfg.maxGap) {
+          val gap = f - runFrame(pk)
+          val from = bundleStart(pk)
+          val until = bundleStart(pk + 1)
           var bestIou = cfg.trackIou
-          for (p <- prev) {
-            val i = Geometry.iou(bundleBox(b), bundleBox(p))
-            if (i >= bestIou) { best = p; bestIou = i }
+          var p = from
+          while (p < until) {
+            val pb = bundleBox(p)
+            if (Geometry.overlap1d(bb.x, bb.l, pb.x, pb.l) > 0) {
+              val iou = Geometry.iou(bb, pb)
+              if (iou >= bestIou) { best = p; bestIou = iou }
+            }
+            p += 1
           }
           val gate = if (cfg.distGateFactor > 0) gateBase * math.min(gap, 2) else 0.0
           if (best < 0 && gate > 0) {
             var bestDist = gate
-            for (p <- prev) {
-              val d = Geometry.centerDistance(bundleBox(b), bundleBox(p))
-              if (d <= bestDist) { best = p; bestDist = d }
+            p = from
+            while (p < until) {
+              val pb = bundleBox(p)
+              if (math.abs(bb.x - pb.x) <= bestDist) {
+                val d = Geometry.centerDistance(bb, pb)
+                if (d <= bestDist) { best = p; bestDist = d }
+              }
+              p += 1
             }
           }
-          if (best >= 0) { ufBundle.union(b, best); matched = true }
+          pk -= 1
         }
-        gap += 1
+        if (best >= 0) ufBundle.union(b, best)
+        b += 1
       }
+      k += 1
     }
     val trackOfBundle = ufBundle.componentIds
 
-    obs.indices.map { i =>
+    ArraySeq.tabulate(n) { i =>
       val o = obs(i)
       val b = bundleOfObs(i)
       TrackedObs(

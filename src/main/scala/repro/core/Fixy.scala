@@ -3,6 +3,7 @@ package repro.core
 import scala.jdk.CollectionConverters._
 
 import org.apache.spark.sql.{DataFrame, Dataset, Encoder, Row, SparkSession}
+import org.apache.spark.sql.functions.col
 
 /** A class-conditional learned distribution (§5.2): a KDE per class with
   * enough training samples, and the pooled (all-class) KDE that every other
@@ -110,7 +111,7 @@ object Fixy {
   def learn(obs: Dataset[Obs], cfg: FixyConfig = FixyConfig())(implicit spark: SparkSession): LearnedModel = {
     import spark.implicits._
     val features = learnedFeatures(cfg)
-    val samples = Association.byScene(obs.filter(_.source == Sources.Human)) { (_, rows) =>
+    val samples = Association.byScene(obs.filter(col("source") === Sources.Human)) { (_, rows) =>
       Loa.fromTracked(Association.assignScene(rows.toSeq, cfg.assoc)).flatMap(_.tracks).flatMap { t =>
         features.flatMap(f => Loa.instances(t, f).map(i => Sample(f.name, i.cls, i.value)))
       }

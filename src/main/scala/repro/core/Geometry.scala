@@ -16,12 +16,13 @@ final case class Box(x: Double, y: Double, l: Double, w: Double) {
 /** Pure geometry used by association and by the velocity feature. */
 object Geometry {
 
+  /** Low and high end of the interval [c − e/2, c + e/2]. */
+  def lo(c: Double, e: Double): Double = c - e / 2
+  def hi(c: Double, e: Double): Double = c + e / 2
+
   /** Length of the 1D overlap of [c1 − e1/2, c1 + e1/2] and [c2 − e2/2, c2 + e2/2]. */
-  def overlap1d(c1: Double, e1: Double, c2: Double, e2: Double): Double = {
-    val lo = math.max(c1 - e1 / 2, c2 - e2 / 2)
-    val hi = math.min(c1 + e1 / 2, c2 + e2 / 2)
-    math.max(0.0, hi - lo)
-  }
+  def overlap1d(c1: Double, e1: Double, c2: Double, e2: Double): Double =
+    math.max(0.0, math.min(hi(c1, e1), hi(c2, e2)) - math.max(lo(c1, e1), lo(c2, e2)))
 
   /** BEV intersection-over-union of two axis-aligned boxes; in [0, 1]. */
   def iou(a: Box, b: Box): Double = {

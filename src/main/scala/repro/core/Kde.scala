@@ -84,8 +84,9 @@ object Kde {
     * the distribution's shape without an RNG, so fits are reproducible.
     */
   def subsample(values: Seq[Double], maxSamples: Int): Array[Double] = {
-    val sorted = values.sorted
-    if (sorted.length <= maxSamples) sorted.toArray
+    val sorted = values.toArray
+    java.util.Arrays.sort(sorted) // the total order of java.lang.Double.compare, as `Seq.sorted`'s
+    if (sorted.length <= maxSamples) sorted
     else {
       val stride = sorted.length.toDouble / maxSamples
       Array.tabulate(maxSamples)(i => sorted(math.min(sorted.length - 1, (i * stride).toInt)))

@@ -1,5 +1,7 @@
 package repro.core
 
+import scala.collection.immutable.ArraySeq
+
 /** The LOA DSL (§4): scenes, tracks, observation bundles, observations (OBTs),
   * features over each level and their instances in a track, and the feature
   * distributions that [[FactorGraph]] compiles to factors.
@@ -46,18 +48,61 @@ object Loa {
   /** Scene s: a set of tracks. */
   final case class Scene(scene: Long, tracks: Seq[Track])
 
-  /** Rebuild the LOA object model from association output: scenes and tracks
-    * in id order, each track's bundles in (frame, bundle id) order.
+  /** The order [[fromTracked]] lists rows in: (scene, trackId, frame,
+    * bundleId, source, trueId, x).
     */
-  def fromTracked(rows: Seq[TrackedObs]): Seq[Scene] =
-    rows.groupBy(_.scene).toSeq.sortBy(_._1).map { case (sceneId, sceneRows) =>
-      val tracks = sceneRows.groupBy(_.trackId).toSeq.sortBy(_._1).map { case (tid, trackRows) =>
-        val bundles = trackRows.groupBy(_.bundleId).toSeq.sortBy { case (bid, rs) => (rs.head.frame, bid) }
-          .map { case (bid, rs) => Bundle(bid, rs.head.frame, rs.sortBy(o => (o.source, o.trueId, o.x)).map(_.toObs)) }
-        Track(tid, bundles.toIndexedSeq)
-      }
-      Scene(sceneId, tracks)
+  private val rebuildOrder: java.util.Comparator[TrackedObs] = { (a, b) =>
+    var c = java.lang.Long.compare(a.scene, b.scene)
+    if (c == 0) c = java.lang.Long.compare(a.trackId, b.trackId)
+    if (c == 0) c = Integer.compare(a.frame, b.frame)
+    if (c == 0) c = java.lang.Long.compare(a.bundleId, b.bundleId)
+    if (c == 0) c = a.source.compareTo(b.source)
+    if (c == 0) c = java.lang.Long.compare(a.trueId, b.trueId)
+    if (c == 0) c = java.lang.Double.compare(a.x, b.x)
+    c
+  }
+
+  /** Rebuild the LOA object model from association output: scenes and tracks
+    * in id order, each track's bundles in (frame, bundle id) order, each
+    * bundle's observations in (source, trueId, x) order, ties in input order.
+    * A bundle id names one frame, as association's output does.
+    *
+    * One stable sort of the rows, which then split into runs of one scene,
+    * one track and one bundle.
+    */
+  def fromTracked(rows: Seq[TrackedObs]): Seq[Scene] = {
+    val sorted = rows.toArray
+    java.util.Arrays.sort(sorted, rebuildOrder) // stable
+    val n = sorted.length
+    // The end of the run in [from, until) whose rows keep `same` with its first.
+    def runEnd(from: Int, until: Int, same: (TrackedObs, TrackedObs) => Boolean): Int = {
+      var i = from + 1
+      while (i < until && same(sorted(from), sorted(i))) i += 1
+      i
     }
+    val scenes = Vector.newBuilder[Scene]
+    var s = 0
+    while (s < n) {
+      val sEnd = runEnd(s, n, _.scene == _.scene)
+      val tracks = Vector.newBuilder[Track]
+      var t = s
+      while (t < sEnd) {
+        val tEnd = runEnd(t, sEnd, _.trackId == _.trackId)
+        val bundles = Vector.newBuilder[Bundle]
+        var b = t
+        while (b < tEnd) {
+          val bEnd = runEnd(b, tEnd, (x, y) => x.frame == y.frame && x.bundleId == y.bundleId)
+          bundles += Bundle(sorted(b).bundleId, sorted(b).frame, ArraySeq.tabulate(bEnd - b)(i => sorted(b + i).toObs))
+          b = bEnd
+        }
+        tracks += Track(sorted(t).trackId, bundles.result())
+        t = tEnd
+      }
+      scenes += Scene(sorted(s).scene, tracks.result())
+      s = sEnd
+    }
+    scenes.result()
+  }
 
   // --------------------------------------------------------------------------
   // Features and feature distributions (§5): a feature π maps an observation,

@@ -36,10 +36,13 @@ final class UnionFind(n: Int) {
   /** Dense component ids in [0, #components), stable in element order. */
   def componentIds: Array[Int] = {
     val ids = new Array[Int](parent.length)
-    val seen = scala.collection.mutable.HashMap.empty[Int, Int]
+    val idOfRoot = Array.fill(parent.length)(-1)
+    var next = 0
     var i = 0
     while (i < parent.length) {
-      ids(i) = seen.getOrElseUpdate(find(i), seen.size)
+      val r = find(i)
+      if (idOfRoot(r) < 0) { idOfRoot(r) = next; next += 1 }
+      ids(i) = idOfRoot(r)
       i += 1
     }
     ids

@@ -57,6 +57,24 @@ class AssociationPureSpec extends AnyFunSuite {
     assert(Association.assignScene(Seq(obs(conf = 0.0), obs(x = 50, trueId = 2, conf = 1.0))).size == 2)
   }
 
+  test("Config rejects each threshold outside its range, naming the field") {
+    def rejects(field: String, make: => Association.Config): Unit = {
+      val e = intercept[IllegalArgumentException](make)
+      assert(e.getMessage.contains(s"Association.Config: $field = "), e.getMessage)
+    }
+    for (v <- Seq(0.0, -0.5, 1.5, Double.NaN)) {
+      rejects("bundleIou", Association.Config(bundleIou = v))
+      rejects("trackIou", Association.Config(trackIou = v))
+    }
+    for (v <- Seq(0, -1)) rejects("maxGap", Association.Config(maxGap = v))
+    for (v <- Seq(-0.1, Double.NaN)) rejects("distGateFactor", Association.Config(distGateFactor = v))
+    for (v <- Seq(0.0, -1.0, Double.NaN)) rejects("distGateCap", Association.Config(distGateCap = v))
+  }
+  test("Config accepts its range's edges") {
+    assert(Association.Config(bundleIou = 1.0, trackIou = 1.0, maxGap = 1, distGateFactor = 0.0, distGateCap = 1e-9).maxGap == 1)
+    assert(Association.Config(bundleIou = Double.MinPositiveValue, trackIou = Double.MinPositiveValue).bundleIou > 0)
+  }
+
   test("a single observation forms its own bundle and track") {
     val out = Association.assignScene(Seq(obs()))
     assert(out.size == 1)

@@ -89,6 +89,13 @@ object UnionFindProps extends Properties("UnionFind") {
     val distinct = ids.toSet
     distinct == (0 until distinct.size).toSet
   }
+  property("componentIds number components by first element, as a map from root would") = forAll(genOps) {
+    case (n, ops) =>
+      val uf = new UnionFind(n)
+      ops.foreach { case (a, b) => uf.union(a, b) }
+      val seen = scala.collection.mutable.HashMap.empty[Int, Int]
+      uf.componentIds.toSeq == (0 until n).map(i => seen.getOrElseUpdate(uf.find(i), seen.size))
+  }
   property("successful unions equal n minus component count") = forAll(genOps) { case (n, ops) =>
     val uf = new UnionFind(n)
     val merges = ops.count { case (a, b) => uf.union(a, b) }

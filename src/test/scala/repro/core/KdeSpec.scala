@@ -109,6 +109,21 @@ class KdeSpec extends AnyFunSuite {
     assert(Kde.subsample(vs, maxSamples = 500).length == 500)
     assert(Kde.subsample(vs.take(300), maxSamples = 500).toSeq == vs.take(300).sorted)
   }
+  test("subsampling sorts in Seq.sorted's total order, bit for bit") {
+    val special = Seq(0.0, -0.0, Double.NegativeInfinity, Double.PositiveInfinity, Double.NaN, -1.5, 1.5, 0.0, -0.0)
+    val vs = scala.util.Random.shuffle(special ++ gaussianSample(500, 0, 1))
+    val bits = (ds: Seq[Double]) => ds.map(java.lang.Double.doubleToRawLongBits)
+    assert(bits(Kde.subsample(vs, maxSamples = 1000).toSeq) == bits(vs.sorted))
+    val kept = Kde.subsample(vs, maxSamples = 100).toSeq
+    val stride = vs.length.toDouble / 100
+    assert(bits(kept) == bits((0 until 100).map(i => vs.sorted.apply(math.min(vs.length - 1, (i * stride).toInt)))))
+  }
+  test("a fit does not depend on the order of its values") {
+    val vs = gaussianSample(3000, 2, 1)
+    val (a, b) = (Kde.fit(vs), Kde.fit(scala.util.Random.shuffle(vs)))
+    assert(a.bandwidth == b.bandwidth && a.gridLo == b.gridLo && a.gridStep == b.gridStep)
+    assert(a.gridDensity.sameElements(b.gridDensity))
+  }
   test("single-value fit yields a usable spike distribution") {
     val kde = Kde.fit(Seq(7.0))
     assert(kde.likelihood(7.0) > 0.99)
