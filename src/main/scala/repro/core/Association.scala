@@ -1,8 +1,10 @@
 package repro.core
 
 import scala.collection.immutable.ArraySeq
+import scala.collection.mutable
 
-import org.apache.spark.sql.{Dataset, Encoder, Encoders, SparkSession}
+import org.apache.spark.TaskContext
+import org.apache.spark.sql.{Dataset, Encoder, SparkSession}
 import org.apache.spark.sql.functions.col
 
 /** Association substrate (§3 "the analyst first associates observations"):
@@ -17,8 +19,9 @@ import org.apache.spark.sql.functions.col
   *
   * The per-scene algorithm is pure Scala (a sweep over each frame plus
   * union-find, see [[assignScene]]) so it can be unit-tested without Spark;
-  * `assignTracks` shards it over scenes with [[byScene]] — scenes are
-  * independent, so this is embarrassingly parallel.
+  * `assignTracks` runs it once per scene with [[byScene]] — scenes are
+  * independent, so this is embarrassingly parallel, and since the generator
+  * writes each scene from one task, it moves no rows.
   */
 object Association {
 
@@ -225,24 +228,61 @@ object Association {
   }
 
   /** The per-scene pass every Spark phase runs: `f` gets a scene id and that
-    * scene's rows of `ds`, which has a `scene` column.
+    * scene's rows of `ds`, once per scene, in ascending scene order within
+    * each partition.
     *
-    * The rows are shuffled by `scene` once, into as many partitions as `ds`
-    * has (at least 1), and grouped on that column, so the grouping reuses the
-    * shuffle's hash partitioning. The width is set here because AQE never
-    * coalesces the shuffle of a plan that is cached (Spark leaves
-    * `canChangeCachedPlanOutputPartitioning` off), so a pass that let the
-    * session pick would keep `spark.sql.shuffle.partitions`, mostly empty,
-    * for every later read of its cached output. Reading `ds`'s width runs any
-    * shuffle of its own a second time, unless `ds` is cached; every caller
-    * passes a cached or shuffle-free input.
+    * Rows move only when they must. A first, small job reads `ds`'s `scene`
+    * column and lists each partition's scenes ([[scenesByPartition]]). If no
+    * scene is in two partitions, as in the generator's output and every
+    * pass's output, the pass runs on `ds` as it is: no shuffle, as many
+    * partitions as `ds`. Otherwise `ds` is first shuffled by `scene` into as
+    * many partitions as it has. Either way each task groups its rows by scene
+    * and calls `f` per group.
+    *
+    * `ds` is read twice, so an uncached input is computed twice (the
+    * generator, about 3 ms a scene). A nondeterministic input could place its
+    * scenes differently the second time: each unshuffled task checks that it
+    * holds the scenes the first job saw in its partition
+    * ([[checkPartition]]) and fails if not.
     */
-  private[repro] def byScene[A, B: Encoder](ds: Dataset[A])(f: (Long, Iterator[A]) => IterableOnce[B]): Dataset[B] =
-    ds.repartition(math.max(1, ds.rdd.getNumPartitions), col("scene"))
-      .groupBy(col("scene")).as[Long, A](Encoders.scalaLong, ds.encoder)
-      .flatMapGroups(f)
+  private[repro] def byScene[A <: SceneRow, B: Encoder](ds: Dataset[A])(f: (Long, Iterator[A]) => IterableOnce[B]): Dataset[B] = {
+    val seen = scenesByPartition(ds)
+    val all = seen.flatten
+    val (input, expected) =
+      if (all.length == all.distinct.length) (ds, Some(seen))
+      else (ds.repartition(seen.length, col("scene")), None)
+    input.mapPartitions { rows =>
+      val groups = mutable.LongMap.empty[mutable.ArrayBuffer[A]]
+      rows.foreach(r => groups.getOrElseUpdate(r.scene, mutable.ArrayBuffer.empty[A]) += r)
+      val scenes = groups.keys.toArray.sorted
+      expected.foreach(checkPartition(TaskContext.getPartitionId(), scenes, _))
+      scenes.iterator.flatMap(s => f(s, groups.remove(s).get.iterator))
+    }
+  }
 
-  /** Distributed wrapper: one `assignScene` call per scene. */
+  /** The distinct scenes of each of `ds`'s partitions, ascending: one job
+    * that reads only the `scene` column. Its length is `ds`'s width.
+    */
+  private[repro] def scenesByPartition(ds: Dataset[_ <: SceneRow]): Array[Array[Long]] = {
+    val spark = ds.sparkSession
+    import spark.implicits._
+    ds.select(col("scene")).as[Long].mapPartitions(it => Iterator(it.toArray.distinct.sorted)).collect()
+  }
+
+  /** Fail unless `scenes`, those partition `partition` groups, are the ones
+    * [[scenesByPartition]] listed there (`expected`).
+    */
+  private[core] def checkPartition(partition: Int, scenes: Array[Long], expected: Array[Array[Long]]): Unit =
+    if (partition >= expected.length || !scenes.sameElements(expected(partition)))
+      throw new IllegalStateException(
+        s"byScene: partition $partition holds scenes [${scenes.mkString(", ")}] but the first read of the input " +
+          s"found [${expected.lift(partition).fold("no such partition")(_.mkString(", "))}]: " +
+          "the input is not deterministic; cache it before a per-scene pass")
+
+  /** Distributed wrapper: one `assignScene` call per scene, in one [[byScene]]
+    * pass. Its output has each scene in one partition (the one the scene was
+    * in, when the input kept scenes apart), so passes over it move no rows.
+    */
   def assignTracks(obs: Dataset[Obs], cfg: Config = Config())(implicit spark: SparkSession): Dataset[TrackedObs] = {
     import spark.implicits._
     byScene(obs)((_, it) => assignScene(it.toSeq, cfg))

@@ -1,5 +1,6 @@
 package repro.core
 
+import scala.collection.immutable.ArraySeq
 import scala.jdk.CollectionConverters._
 
 import org.apache.spark.sql.{DataFrame, Dataset, Encoder, Row, SparkSession}
@@ -70,9 +71,9 @@ final case class ScoredBundle(
 
 /** Fixy (§3): offline feature-distribution learning over existing labels and
   * online scoring/ranking of potential errors. Scenes are independent, so each
-  * phase is one scene-width Spark pass ([[Association.byScene]]: one shuffle
-  * by scene, into as many partitions as its input has) that runs, scene by
-  * scene, the pure-Scala LOA model:
+  * phase is one per-scene Spark pass ([[Association.byScene]]: no shuffle when
+  * each scene of its input is in one partition, as the generator's and every
+  * pass's output are) that runs, scene by scene, the pure-Scala LOA model:
   * [[Association.assignScene]], [[Loa.fromTracked]] and
   * [[FactorGraph.compileTrack]] over [[driverFeatures]]; [[rankTracks]] ranks
   * a scene under every [[Ranking]] (Fixy's and the baselines') at once.
@@ -86,8 +87,8 @@ object Fixy {
   // Offline phase: learn feature distributions from existing human labels (§5.2).
   // --------------------------------------------------------------------------
 
-  /** One training value: an instance of the learned feature `feature`. */
-  private[core] final case class Sample(feature: String, cls: Option[String], value: Double)
+  /** One scene's training values of the learned feature `feature` for class `cls`. */
+  private[core] final case class Sample(feature: String, cls: Option[String], values: Array[Double])
 
   // Table 2's features π, each defined once for learning and scoring. A
   // transition instance advances the frame, so its speed is defined.
@@ -97,33 +98,36 @@ object Fixy {
   private val count = Loa.TrackFeature("count", _.nObs.toDouble)
 
   /** The features whose distributions [[learn]] fits; distance's is manual. */
-  private def learnedFeatures(cfg: FixyConfig): Seq[Loa.Feature] = Seq(volume, velocity(cfg), count)
+  private[core] def learnedFeatures(cfg: FixyConfig): Seq[Loa.Feature] = Seq(volume, velocity(cfg), count)
 
   /** Fit the learned features' distributions from the human-proposed labels
     * in `obs`. Labels may themselves contain errors — the paper's point is
     * that the aggregate distributions are still informative.
     *
     * One [[Association.byScene]] pass associates each scene's human labels
-    * and emits every instance ([[Loa.instances]]) of every learned feature;
-    * the samples are collected once and fitted on the driver: a KDE per class
-    * with at least `minClassSamples` samples, plus the pooled KDE.
+    * and emits the values of every instance ([[Loa.instances]]) of every
+    * learned feature, one array per feature and class. The arrays are
+    * collected once, joined per feature and class, and fitted on the driver:
+    * a KDE per class with at least `minClassSamples` values, plus the pooled
+    * KDE. [[Kde.fit]] sorts its values, so the order they arrive in does not
+    * matter.
     */
   def learn(obs: Dataset[Obs], cfg: FixyConfig = FixyConfig())(implicit spark: SparkSession): LearnedModel = {
     import spark.implicits._
     val features = learnedFeatures(cfg)
     val samples = Association.byScene(obs.filter(col("source") === Sources.Human)) { (_, rows) =>
-      Loa.fromTracked(Association.assignScene(rows.toSeq, cfg.assoc)).flatMap(_.tracks).flatMap { t =>
-        features.flatMap(f => Loa.instances(t, f).map(i => Sample(f.name, i.cls, i.value)))
+      val tracks = Loa.fromTracked(Association.assignScene(rows.toSeq, cfg.assoc)).flatMap(_.tracks)
+      features.flatMap { f =>
+        tracks.flatMap(Loa.instances(_, f)).groupMap(_.cls)(_.value).map { case (cls, vs) => Sample(f.name, cls, vs.toArray) }
       }
     }.collect().toSeq.groupBy(_.feature)
 
     LearnedModel(features.map { f =>
-      val fs = samples.getOrElse(f.name, Seq.empty)
-      require(fs.nonEmpty, s"no human labels to learn the ${f.name} distribution from")
-      val byClass = fs.groupBy(_.cls).collect {
-        case (Some(c), vs) if vs.size >= cfg.minClassSamples => c -> Kde.fit(vs.map(_.value))
-      }
-      f.name -> ClassKde(byClass, Kde.fit(fs.map(_.value)))
+      val byCls = samples.getOrElse(f.name, Seq.empty).groupMap(_.cls)(_.values).map { case (c, vs) => c -> Array.concat(vs: _*) }
+      require(byCls.nonEmpty, s"no human labels to learn the ${f.name} distribution from")
+      def fit(vs: Array[Double]) = Kde.fit(ArraySeq.unsafeWrapArray(vs))
+      val byClass = byCls.collect { case (Some(c), vs) if vs.length >= cfg.minClassSamples => c -> fit(vs) }
+      f.name -> ClassKde(byClass, fit(Array.concat(byCls.values.toSeq: _*)))
     }.toMap)
   }
 

@@ -1,5 +1,8 @@
 package repro.core
 
+/** A row that belongs to one scene: what [[Association.byScene]] groups on. */
+trait SceneRow { def scene: Long }
+
 /** Row-level schema shared by the generator, the association substrate and the
   * scorer. One row = one *observation* (§4.2 ω): a 3D box proposed by some
   * observation source at one frame of one scene.
@@ -22,7 +25,7 @@ final case class Obs(
     w: Double,
     h: Double,
     conf: Double,   // model confidence; 1.0 for human proposals
-) {
+) extends SceneRow {
   def box: Box = Box(x, y, l, w)
   def volume: Double = l * w * h
   def distanceToAv: Double = math.hypot(x, y)
@@ -47,7 +50,7 @@ final case class TrackedObs(
     conf: Double,
     bundleId: Long,
     trackId: Long,
-) {
+) extends SceneRow {
   def toObs: Obs = Obs(scene, frame, source, trueId, cls, x, y, z, l, w, h, conf)
 }
 

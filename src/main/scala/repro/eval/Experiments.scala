@@ -41,7 +41,7 @@ object Experiments {
   /** One leg of Table 3: rank the model-only tracks with Fixy and both ad-hoc
     * MA orderings (one pass), measure precision@{10,5,1} over the scenes that
     * contain missing tracks. Returns the rows, Fixy's scene coverage at
-    * top-10 and Fixy's ranking.
+    * top-10 and Fixy's labelled ranking.
     */
   private def table3Leg(dataset: String, learned: LearnedModel, tracked: Dataset[TrackedObs], truth: Dataset[TruthRow])(
       implicit spark: SparkSession): (Seq[Table3Row], Double, DataFrame) = {
@@ -64,7 +64,7 @@ object Experiments {
       row("Ad-hoc MA (conf)", p("ma-conf")),
     )
     val fixy = of(labeled, "fixy")
-    (rows, Metrics.sceneCoverageAtK(fixy, scenes, 10), fixy.drop("majTrueId", "isError"))
+    (rows, Metrics.sceneCoverageAtK(fixy, scenes, 10), fixy)
   }
 
   /** Learn each training split once, associate and rank each evaluation split
@@ -78,10 +78,11 @@ object Experiments {
     // Table 3 (§8.2): both datasets, all three methods.
     val (lyftRows, lyftCoverage, _) = onEval(lyftEval)(table3Leg("Lyft", lyft, _, _))
     // §8.2 recall: the exhaustively audited internal scene (24 missing
-    // tracks), Fixy's top-10 ranked errors per class, from its Table 3 ranking.
+    // tracks), Fixy's top-10 ranked errors per class, from its labelled
+    // Table 3 ranking.
     val (internalRows, recall) = onEval(internalAudit) { (tracked, truth) =>
       val (rows, _, fixy) = table3Leg("Internal", internal, tracked, truth)
-      val (found, total) = Metrics.recallPerClassTopK(fixy, tracked, truth, k = 10)
+      val (found, total) = Metrics.recallPerClassTopK(fixy, truth, k = 10)
       (rows, RecallResult(found, total))
     }
 

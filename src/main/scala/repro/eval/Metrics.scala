@@ -135,9 +135,13 @@ object Metrics {
       tracked: Dataset[TrackedObs],
       truth: Dataset[TruthRow],
       k: Int = 10,
-  ): (Long, Long) = {
-    val labeled = labelMissingTrackProposals(ranked, tracked, truth).select("scene", "cls", "rank", "isError", "majTrueId")
-    val found = labeled.collect().toSeq.groupMap(r => (r.getLong(0), r.getString(1)))(identity).values
+  ): (Long, Long) =
+    recallPerClassTopK(labelMissingTrackProposals(ranked, tracked, truth), truth, k)
+
+  /** [[recallPerClassTopK]] of a ranking already labelled by [[labelMissingTrackProposals]]. */
+  def recallPerClassTopK(labeled: DataFrame, truth: Dataset[TruthRow], k: Int): (Long, Long) = {
+    val rows = labeled.select("scene", "cls", "rank", "isError", "majTrueId").collect().toSeq
+    val found = rows.groupMap(r => (r.getLong(0), r.getString(1)))(identity).values
       .flatMap(_.sortBy(_.getInt(2)).take(k)).collect { case Row(_, _, _, true, obj: Long) => obj }.toSet
     (found.size.toLong, missingObjects(truth).size.toLong)
   }

@@ -72,6 +72,17 @@ class FixySpec extends SparkSpec {
     assert(lik(again, "volume")(Classes.Car, 14.5) == volumeLik(Classes.Car, 14.5))
     assert(lik(again, "velocity")(Classes.Car, 8.0) == velocityLik(Classes.Car, 8.0))
   }
+  test("learn fits the same model, bit for bit, as a fit of one row per feature instance") {
+    def bits(k: Kde) = (Seq(k.bandwidth, k.gridLo, k.gridStep, k.maxDensity) ++ k.gridDensity).map(java.lang.Double.doubleToRawLongBits)
+    def asBits(m: LearnedModel) = m.byFeature.view.mapValues(c => (c.byClass.view.mapValues(bits).toMap, bits(c.pooled))).toMap
+    for (spec <- Seq(PerceptionData.internalTrain, PerceptionData.lyftTrain)) {
+      val obs = PerceptionData.observations(spec).cache()
+      val model = asBits(Fixy.learn(obs, cfg))
+      assert(model.keySet == Set("volume", "velocity", "count") && model("volume")._1.keySet == Classes.All.toSet, spec.name)
+      assert(model == asBits(FixySpec.learnRowWise(obs, cfg)), spec.name)
+      obs.unpersist()
+    }
+  }
   test("learn fails cleanly with no human labels") {
     assertThrows[IllegalArgumentException] {
       Fixy.learn(toDs(movingTrack(5, source = Sources.Model)), cfg)
@@ -473,5 +484,30 @@ class FixySpec extends SparkSpec {
     assert(id(Classes.Car) > id(Classes.Pedestrian))
     assert(inv(Classes.Car) < inv(Classes.Pedestrian))
     tracked.unpersist()
+  }
+}
+
+object FixySpec {
+  /** One training value: an instance of the learned feature `feature`. */
+  final case class RowSample(feature: String, cls: Option[String], value: Double)
+
+  /** [[Fixy.learn]] as first written, the reference of its bit-equality test:
+    * one collected row per feature instance, grouped and fitted on the driver.
+    */
+  def learnRowWise(obs: Dataset[Obs], cfg: FixyConfig)(implicit spark: SparkSession): LearnedModel = {
+    import spark.implicits._
+    val features = Fixy.learnedFeatures(cfg)
+    val samples = obs.filter(_.source == Sources.Human).groupByKey(_.scene).flatMapGroups { (_, rows) =>
+      Loa.fromTracked(Association.assignScene(rows.toSeq, cfg.assoc)).flatMap(_.tracks).flatMap { t =>
+        features.flatMap(f => Loa.instances(t, f).map(i => RowSample(f.name, i.cls, i.value)))
+      }
+    }.collect().toSeq.groupBy(_.feature)
+    LearnedModel(features.map { f =>
+      val fs = samples(f.name)
+      val byClass = fs.groupBy(_.cls).collect {
+        case (Some(c), vs) if vs.size >= cfg.minClassSamples => c -> Kde.fit(vs.map(_.value))
+      }
+      f.name -> ClassKde(byClass, Kde.fit(fs.map(_.value)))
+    }.toMap)
   }
 }

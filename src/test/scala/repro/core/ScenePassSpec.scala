@@ -1,9 +1,11 @@
 package repro.core
 
 import java.util.concurrent.ConcurrentLinkedQueue
-
 import scala.jdk.CollectionConverters._
 
+import java.util.concurrent.atomic.AtomicInteger
+
+import org.apache.spark.SparkException
 import org.apache.spark.sql.{Dataset, SparkSession}
 import org.apache.spark.sql.execution.{QueryExecution, SparkPlan}
 import org.apache.spark.sql.execution.adaptive.AdaptiveSparkPlanHelper
@@ -16,8 +18,11 @@ import repro.SparkSpec
 import repro.baselines.ModelAssertions
 import repro.perception.PerceptionData
 
-/** The shape of the per-scene passes ([[Association.byScene]]): each action
-  * plans exactly one shuffle, by scene, as wide as the pass's input.
+/** The shape of the per-scene passes ([[Association.byScene]]): a pass over
+  * an input that splits a scene across partitions plans exactly one shuffle,
+  * by scene, as wide as its input; a pass over an input that keeps each scene
+  * in one partition (the generator's output, every pass's output) plans none
+  * and keeps its input's width.
   */
 class ScenePassSpec extends SparkSpec {
   implicit private lazy val ss: SparkSession = spark
@@ -51,36 +56,97 @@ class ScenePassSpec extends SparkSpec {
     (result, events.asScala.toSeq.dropWhile(_.nonEmpty).drop(1).takeWhile(_.nonEmpty).flatten.flatMap(widths))
   }
 
-  test("each per-scene pass shuffles once, into as many partitions as its input has") {
-    val obs = PerceptionData.observations(PerceptionData.internalTrain.copy(nScenes = 4)).repartition(3).cache()
-    assert(obs.rdd.getNumPartitions == 3)
-    val (learned, learnWidths) = shuffleWidths(Fixy.learn(obs, cfg))
-    assert(learnWidths == Seq(3), "learn's sample pass")
-    val tracked = Association.assignTracks(obs, cfg.assoc)
-    assert(shuffleWidths(tracked.collect())._2 == Seq(3), "assignTracks")
+  private def generated = PerceptionData.observations(PerceptionData.internalTrain.copy(nScenes = 4))
+
+  /** Each ranking pass over `tracked`, by name. */
+  private def passes(tracked: Dataset[TrackedObs], learned: LearnedModel): Seq[(String, () => Dataset[_])] = Seq(
+    "rankTracks" -> (() => Fixy.rankTracks(tracked, "fixy" -> Fixy.missingTracks(learned, cfg),
+      "ma-conf" -> ModelAssertions.consistency("conf", cfg.minTrackObs, seed = 0))),
+    "rankMissingObservations" -> (() => Fixy.rankMissingObservations(tracked, learned, cfg)),
+  )
+
+  test("over an input that splits scenes, learn and assignTracks shuffle once, as wide as the input") {
+    val obs = generated.repartition(3).cache() // round-robin: every scene in every partition
+    assert(Association.scenesByPartition(obs).map(_.length).toSeq == Seq(4, 4, 4))
+    assert(shuffleWidths(Fixy.learn(obs, cfg))._2 == Seq(3), "learn")
+    val (tracked, trackWidths) = shuffleWidths { val t = Association.assignTracks(obs, cfg.assoc); t.collect(); t }
+    assert(trackWidths == Seq(3), "assignTracks")
     assert(tracked.rdd.getNumPartitions == 3, "assignTracks")
-    tracked.cache()
-    val passes = Seq[(String, Dataset[_])](
-      "rankTracks" -> Fixy.rankTracks(tracked, "fixy" -> Fixy.missingTracks(learned, cfg)),
-      "rankMissingObservations" -> Fixy.rankMissingObservations(tracked, learned, cfg),
-    )
-    for ((name, pass) <- passes) {
-      assert(shuffleWidths(pass.collect())._2 == Seq(3), name)
-      assert(pass.rdd.getNumPartitions == 3, name)
-    }
-    assert(shuffleWidths(ModelAssertions.allFlagged(tracked))._2 == Seq(3), "allFlagged")
-    tracked.unpersist()
     obs.unpersist()
   }
 
-  test("a pass over an input without partitions is one partition wide") {
+  test("over the generator's and assignTracks' output, no pass shuffles and each keeps its input's width") {
+    val obs = generated
+    val width = obs.rdd.getNumPartitions
+    val (learned, learnWidths) = shuffleWidths(Fixy.learn(obs, cfg))
+    assert(learnWidths.isEmpty, "learn")
+    val (tracked, trackWidths) = shuffleWidths { val t = Association.assignTracks(obs, cfg.assoc); t.collect(); t }
+    assert(trackWidths.isEmpty, "assignTracks")
+    assert(tracked.rdd.getNumPartitions == width, "assignTracks")
+    tracked.cache()
+    for ((name, pass) <- passes(tracked, learned)) {
+      val (passWidth, passWidths) = shuffleWidths { val d = pass(); d.collect(); d.rdd.getNumPartitions }
+      assert(passWidths.isEmpty, name)
+      assert(passWidth == width, name)
+    }
+    assert(shuffleWidths(ModelAssertions.allFlagged(tracked))._2.isEmpty, "allFlagged")
+    tracked.unpersist()
+  }
+
+  test("the same rows, each scene in one partition or split, give the same results") {
+    val clustered = generated.cache()
+    val split = clustered.repartition(3).cache()
+    def results(obs: Dataset[Obs]) = {
+      val learned = Fixy.learn(obs, cfg)
+      val tracked = Association.assignTracks(obs, cfg.assoc).cache()
+      val out = (tracked.collect().sortBy(_.toString).toSeq,
+        passes(tracked, learned).map { case (name, pass) => name -> pass().toDF().collect().map(_.toSeq).sortBy(_.toString).toSeq },
+        ModelAssertions.allFlagged(tracked))
+      tracked.unpersist()
+      out
+    }
+    val (a, b) = (results(clustered), results(split))
+    assert(a._1.nonEmpty && a._2.forall(_._2.nonEmpty) && a._3.nonEmpty)
+    assert(a == b)
+    Seq(split, clustered).foreach(_.unpersist())
+  }
+
+  test("a pass over an input without partitions returns nothing and plans no shuffle") {
     import ss.implicits._
     val empty = ss.createDataset(ss.sparkContext.emptyRDD[Obs])
     assert(empty.rdd.getNumPartitions == 0)
-    val tracked = Association.assignTracks(empty, cfg.assoc)
-    assert(widths(tracked.queryExecution.executedPlan) == Seq(1), "planned before it runs")
-    assert(tracked.collect().isEmpty)
+    val (tracked, trackWidths) = shuffleWidths { val t = Association.assignTracks(empty, cfg.assoc); t.collect(); t }
+    assert(trackWidths.isEmpty)
+    assert(tracked.collect().isEmpty && tracked.rdd.getNumPartitions == 0)
     val e = intercept[IllegalArgumentException](Fixy.learn(empty, cfg))
     assert(e.getMessage.contains("no human labels to learn the volume distribution from"), e.getMessage)
   }
+
+  test("the partition guard accepts the scenes the check saw and rejects any other") {
+    val seen = Array(Array(0L, 1L), Array.empty[Long], Array(2L))
+    for (p <- seen.indices) Association.checkPartition(p, seen(p), seen)
+    for ((p, scenes) <- Seq(0 -> Array(0L), 0 -> Array(0L, 1L, 2L), 1 -> Array(1L), 2 -> Array(1L, 2L), 3 -> Array.empty[Long])) {
+      val e = intercept[IllegalStateException](Association.checkPartition(p, scenes, seen))
+      assert(e.getMessage.contains(s"partition $p holds scenes [${scenes.mkString(", ")}]"), e.getMessage)
+      assert(e.getMessage.contains("not deterministic"), e.getMessage)
+    }
+  }
+
+  test("a pass fails loudly when its input places a scene elsewhere on the second read") {
+    import ss.implicits._
+    // Read k (a task each for two partitions) puts scene (partition + k) % 2
+    // in each partition: each read keeps scenes apart, but the two disagree.
+    ScenePassSpec.reads.set(0)
+    val flipping = ss.range(0, 2, 1, 2).mapPartitions { it =>
+      val k = ScenePassSpec.reads.getAndIncrement() / 2
+      it.map(i => TestObs.obs(scene = (i + k) % 2, frame = 0, x = 0, y = 0))
+    }
+    val e = intercept[SparkException](Association.assignTracks(flipping, cfg.assoc).collect())
+    assert(e.getMessage.contains("not deterministic"), e.getMessage)
+  }
+}
+
+object ScenePassSpec {
+  /** Tasks run so far that read the flipping input (tasks share the test JVM). */
+  val reads = new AtomicInteger
 }

@@ -3,7 +3,7 @@ package repro.perception
 import org.apache.spark.sql.SparkSession
 
 import repro.{Oracle, SparkSpec}
-import repro.core.{Classes, Sources}
+import repro.core.{Association, Classes, Sources}
 
 class PerceptionDataSpec extends SparkSpec {
   implicit private lazy val ss: SparkSession = spark
@@ -190,6 +190,13 @@ class PerceptionDataSpec extends SparkSpec {
     val viaSpark = PerceptionData.observations(tiny).collect().toSet
     val viaDriver = (0 until tiny.nScenes).flatMap(i => PerceptionData.genScene(tiny, i)._2).toSet
     assert(viaSpark == viaDriver)
+  }
+  test("every preset's generator output puts each scene in exactly one partition") {
+    import PerceptionData._
+    for (spec <- Seq(lyftTrain, lyftEval, internalAudit, internalTrain, missingObsSim, modelErrorSim)) {
+      val scenes = Association.scenesByPartition(PerceptionData.observations(spec)).toSeq.flatten
+      assert(scenes.sorted == (0L until spec.nScenes), spec.name)
+    }
   }
   test("oracle: per-source observation counts match DuckDB") {
     val df = PerceptionData.observations(tiny).toDF().cache()
