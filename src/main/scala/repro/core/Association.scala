@@ -2,8 +2,9 @@ package repro.core
 
 import scala.collection.immutable.ArraySeq
 import scala.collection.mutable
+import scala.reflect.ClassTag
 
-import org.apache.spark.TaskContext
+import org.apache.spark.rdd.RDD
 import org.apache.spark.sql.{Dataset, Encoder, SparkSession}
 import org.apache.spark.sql.functions.col
 
@@ -231,46 +232,56 @@ object Association {
     * scene's rows of `ds`, once per scene, in ascending scene order within
     * each partition.
     *
-    * Rows move only when they must. A first, small job reads `ds`'s `scene`
-    * column and lists each partition's scenes ([[scenesByPartition]]). If no
-    * scene is in two partitions, as in the generator's output and every
-    * pass's output, the pass runs on `ds` as it is: no shuffle, as many
-    * partitions as `ds`. Otherwise `ds` is first shuffled by `scene` into as
-    * many partitions as it has. Either way each task groups its rows by scene
-    * and calls `f` per group.
+    * Rows move only when they must. A first, small job lists the scenes of
+    * each partition of `ds.rdd` ([[scenesByPartition]]). If no scene is in two
+    * partitions, as in the generator's output and every pass's output, the
+    * pass runs on that same RDD: no shuffle, as many partitions as `ds`.
+    * Otherwise `ds` is first shuffled by `scene` into as many partitions as it
+    * has. Either way each task groups its rows by scene ([[inScenes]]) and
+    * calls `f` per group.
     *
-    * `ds` is read twice, so an uncached input is computed twice (the
-    * generator, about 3 ms a scene). A nondeterministic input could place its
-    * scenes differently the second time: each unshuffled task checks that it
-    * holds the scenes the first job saw in its partition
-    * ([[checkPartition]]) and fails if not.
+    * Both reads of an unshuffled input go through the one RDD, so a shuffle
+    * inside `ds`'s own plan runs once and both reads see its partitions. An
+    * uncached input is still computed twice (the generator, about 3 ms a
+    * scene). A nondeterministic input could place its scenes differently the
+    * second time: each unshuffled task checks that its partition holds the
+    * scenes the first job saw there ([[checkPartition]]) and fails if not.
+    * The index it checks is the input partition's own, so the output may be
+    * coalesced or unioned like any other dataset.
+    *
+    * A task holds all of its partition's rows at once, not one scene's: its
+    * memory grows with the rows per partition. An input whose partitions do
+    * not fit a task's share of the heap needs more partitions.
     */
   private[repro] def byScene[A <: SceneRow, B: Encoder](ds: Dataset[A])(f: (Long, Iterator[A]) => IterableOnce[B]): Dataset[B] = {
-    val seen = scenesByPartition(ds)
+    implicit val tag: ClassTag[B] = implicitly[Encoder[B]].clsTag
+    val rows = ds.rdd
+    val seen = scenesByPartition(rows)
     val all = seen.flatten
-    val (input, expected) =
-      if (all.length == all.distinct.length) (ds, Some(seen))
-      else (ds.repartition(seen.length, col("scene")), None)
-    input.mapPartitions { rows =>
-      val groups = mutable.LongMap.empty[mutable.ArrayBuffer[A]]
-      rows.foreach(r => groups.getOrElseUpdate(r.scene, mutable.ArrayBuffer.empty[A]) += r)
-      val scenes = groups.keys.toArray.sorted
-      expected.foreach(checkPartition(TaskContext.getPartitionId(), scenes, _))
-      scenes.iterator.flatMap(s => f(s, groups.remove(s).get.iterator))
-    }
+    if (all.length == all.distinct.length)
+      ds.sparkSession.createDataset(rows.mapPartitionsWithIndex((p, it) => inScenes(it)(checkPartition(p, _, seen))(f)))
+    else ds.repartition(seen.length, col("scene")).mapPartitions(inScenes(_)(_ => ())(f))
   }
 
-  /** The distinct scenes of each of `ds`'s partitions, ascending: one job
-    * that reads only the `scene` column. Its length is `ds`'s width.
+  /** `f` over each scene of one partition's `rows`, in ascending scene order,
+    * after `check` has seen the partition's scenes.
     */
-  private[repro] def scenesByPartition(ds: Dataset[_ <: SceneRow]): Array[Array[Long]] = {
-    val spark = ds.sparkSession
-    import spark.implicits._
-    ds.select(col("scene")).as[Long].mapPartitions(it => Iterator(it.toArray.distinct.sorted)).collect()
+  private def inScenes[A <: SceneRow, B](rows: Iterator[A])(check: Array[Long] => Unit)(f: (Long, Iterator[A]) => IterableOnce[B]): Iterator[B] = {
+    val groups = mutable.LongMap.empty[mutable.ArrayBuffer[A]]
+    rows.foreach(r => groups.getOrElseUpdate(r.scene, mutable.ArrayBuffer.empty[A]) += r)
+    val scenes = groups.keys.toArray.sorted
+    check(scenes)
+    scenes.iterator.flatMap(s => f(s, groups.remove(s).get.iterator))
   }
 
-  /** Fail unless `scenes`, those partition `partition` groups, are the ones
-    * [[scenesByPartition]] listed there (`expected`).
+  /** The distinct scenes of each of `rows`' partitions, ascending: one job.
+    * Its length is `rows`' width.
+    */
+  private[repro] def scenesByPartition(rows: RDD[_ <: SceneRow]): Array[Array[Long]] =
+    rows.mapPartitions(it => Iterator(it.map(_.scene).toArray.distinct.sorted)).collect()
+
+  /** Fail unless `scenes`, those input partition `partition` holds, are the
+    * ones [[scenesByPartition]] listed there (`expected`).
     */
   private[core] def checkPartition(partition: Int, scenes: Array[Long], expected: Array[Array[Long]]): Unit =
     if (partition >= expected.length || !scenes.sameElements(expected(partition)))

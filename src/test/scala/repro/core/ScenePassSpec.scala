@@ -5,11 +5,13 @@ import scala.jdk.CollectionConverters._
 
 import java.util.concurrent.atomic.AtomicInteger
 
-import org.apache.spark.SparkException
+import org.apache.spark.{ShuffleDependency, SparkException}
+import org.apache.spark.rdd.RDD
 import org.apache.spark.sql.{Dataset, SparkSession}
 import org.apache.spark.sql.execution.{QueryExecution, SparkPlan}
 import org.apache.spark.sql.execution.adaptive.AdaptiveSparkPlanHelper
 import org.apache.spark.sql.execution.exchange.ShuffleExchangeExec
+import org.apache.spark.sql.functions.col
 import org.apache.spark.sql.util.QueryExecutionListener
 import org.scalatest.concurrent.Eventually.{eventually, timeout}
 import org.scalatest.time.SpanSugar._
@@ -56,6 +58,15 @@ class ScenePassSpec extends SparkSpec {
     (result, events.asScala.toSeq.dropWhile(_.nonEmpty).drop(1).takeWhile(_.nonEmpty).flatten.flatMap(widths))
   }
 
+  /** Whether `rdd`'s lineage shuffles anywhere, inside a plan Spark SQL
+    * handed over as an RDD included.
+    */
+  private def shuffles(rdd: RDD[_]): Boolean =
+    rdd.dependencies.exists {
+      case _: ShuffleDependency[_, _, _] => true
+      case d => shuffles(d.rdd)
+    }
+
   private def generated = PerceptionData.observations(PerceptionData.internalTrain.copy(nScenes = 4))
 
   /** Each ranking pass over `tracked`, by name. */
@@ -67,11 +78,12 @@ class ScenePassSpec extends SparkSpec {
 
   test("over an input that splits scenes, learn and assignTracks shuffle once, as wide as the input") {
     val obs = generated.repartition(3).cache() // round-robin: every scene in every partition
-    assert(Association.scenesByPartition(obs).map(_.length).toSeq == Seq(4, 4, 4))
+    assert(Association.scenesByPartition(obs.rdd).map(_.length).toSeq == Seq(4, 4, 4))
     assert(shuffleWidths(Fixy.learn(obs, cfg))._2 == Seq(3), "learn")
     val (tracked, trackWidths) = shuffleWidths { val t = Association.assignTracks(obs, cfg.assoc); t.collect(); t }
     assert(trackWidths == Seq(3), "assignTracks")
     assert(tracked.rdd.getNumPartitions == 3, "assignTracks")
+    assert(shuffles(tracked.rdd), "assignTracks")
     obs.unpersist()
   }
 
@@ -83,10 +95,11 @@ class ScenePassSpec extends SparkSpec {
     val (tracked, trackWidths) = shuffleWidths { val t = Association.assignTracks(obs, cfg.assoc); t.collect(); t }
     assert(trackWidths.isEmpty, "assignTracks")
     assert(tracked.rdd.getNumPartitions == width, "assignTracks")
+    assert(!shuffles(tracked.rdd), "assignTracks")
     tracked.cache()
     for ((name, pass) <- passes(tracked, learned)) {
-      val (passWidth, passWidths) = shuffleWidths { val d = pass(); d.collect(); d.rdd.getNumPartitions }
-      assert(passWidths.isEmpty, name)
+      val ((passWidth, passShuffles), passWidths) = shuffleWidths { val d = pass(); d.collect(); (d.rdd.getNumPartitions, shuffles(d.rdd)) }
+      assert(passWidths.isEmpty && !passShuffles, name)
       assert(passWidth == width, name)
     }
     assert(shuffleWidths(ModelAssertions.allFlagged(tracked))._2.isEmpty, "allFlagged")
@@ -109,6 +122,40 @@ class ScenePassSpec extends SparkSpec {
     assert(a._1.nonEmpty && a._2.forall(_._2.nonEmpty) && a._3.nonEmpty)
     assert(a == b)
     Seq(split, clustered).foreach(_.unpersist())
+  }
+
+  test("a pass's output may be coalesced or unioned: the guard checks the input partition, not the task") {
+    val obs = generated
+    val tracked = Association.assignTracks(obs, cfg.assoc)
+    val rows = tracked.collect().sortBy(_.toString).toSeq
+    assert(rows.nonEmpty && obs.rdd.getNumPartitions > 1)
+    assert(tracked.coalesce(1).collect().sortBy(_.toString).toSeq == rows)
+    val other = Association.assignTracks(PerceptionData.observations(PerceptionData.lyftEval.copy(nScenes = 2)), cfg.assoc)
+    assert(tracked.union(other).collect().sortBy(_.toString).toSeq == (rows ++ other.collect()).sortBy(_.toString))
+    val learned = Fixy.learn(obs, cfg)
+    for ((name, pass) <- passes(tracked, learned)) {
+      val out = pass().toDF()
+      val base = out.collect().map(_.toSeq).sortBy(_.toString).toSeq
+      assert(base.nonEmpty, name)
+      assert(out.coalesce(1).collect().map(_.toSeq).sortBy(_.toString).toSeq == base, name)
+      assert(out.union(pass().toDF()).collect().map(_.toSeq).sortBy(_.toString).toSeq == (base ++ base).sortBy(_.toString), name)
+    }
+  }
+
+  test("an uncached input with its own shuffle by scene is read through one plan, not split twice") {
+    // AQE coalesces a shuffle by its bytes: here a read of the scene column
+    // alone lands in fewer partitions than a read of whole rows.
+    val session = ss.newSession()
+    Seq("spark.sql.adaptive.coalescePartitions.parallelismFirst" -> "false",
+      "spark.sql.adaptive.advisoryPartitionSizeInBytes" -> "64k",
+      "spark.sql.adaptive.coalescePartitions.minPartitionSize" -> "1k").foreach { case (k, v) => session.conf.set(k, v) }
+    val obs = PerceptionData.observations(PerceptionData.internalTrain.copy(nScenes = 4))(session)
+    val shuffled = obs.repartition(col("scene"))
+    assert(shuffled.select(col("scene")).rdd.getNumPartitions < shuffled.rdd.getNumPartitions)
+    val expected = Association.assignTracks(obs, cfg.assoc)(session).collect().sortBy(_.toString).toSeq
+    assert(Association.assignTracks(shuffled, cfg.assoc)(session).collect().sortBy(_.toString).toSeq == expected)
+    def densities(m: LearnedModel) = m.byFeature.view.mapValues(c => (c.byClass.view.mapValues(_.gridDensity.toSeq).toMap, c.pooled.gridDensity.toSeq)).toMap
+    assert(densities(Fixy.learn(shuffled, cfg)(session)) == densities(Fixy.learn(obs, cfg)(session)))
   }
 
   test("a pass over an input without partitions returns nothing and plans no shuffle") {

@@ -194,7 +194,7 @@ class PerceptionDataSpec extends SparkSpec {
   test("every preset's generator output puts each scene in exactly one partition") {
     import PerceptionData._
     for (spec <- Seq(lyftTrain, lyftEval, internalAudit, internalTrain, missingObsSim, modelErrorSim)) {
-      val scenes = Association.scenesByPartition(PerceptionData.observations(spec)).toSeq.flatten
+      val scenes = Association.scenesByPartition(PerceptionData.observations(spec).rdd).toSeq.flatten
       assert(scenes.sorted == (0L until spec.nScenes), spec.name)
     }
   }
