@@ -25,6 +25,50 @@ class PerceptionDataSpec extends SparkSpec {
     assert(e.getMessage.contains(field), e.getMessage)
   }
 
+  /** Each preset's truth rows, observation rows and a digest of every field of
+    * every row, scene by scene, as the generator made them when this test was
+    * written. A change that shifts the generator's random stream moves them.
+    */
+  private val pinned: Seq[(DatasetSpec, Int, Int, String)] = {
+    import PerceptionData._
+    Seq(
+      (lyftTrain, 5520, 258009, "390e5730d523c218"),
+      (lyftEval, 4232, 206937, "699ef0edfbc7a217"),
+      (internalAudit, 109, 4602, "c1370c9c05167fe0"),
+      (internalTrain, 1020, 44473, "cb79ccce4728ca17"),
+      (missingObsSim, 180, 17726, "f017d32b895e5179"),
+      (modelErrorSim, 265, 18230, "498e7621b42e67f0"),
+    )
+  }
+
+  /** SHA-256 (first 16 hex digits) of the rows' fields in order: doubles by
+    * their raw bits, strings as length and UTF-8 bytes, sequences as length
+    * and elements, so the digest reads values, not collection types.
+    */
+  private def digest(rows: Iterator[Product]): String = {
+    val md = java.security.MessageDigest.getInstance("SHA-256")
+    val buf = java.nio.ByteBuffer.allocate(8)
+    def long(v: Long): Unit = { buf.clear(); buf.putLong(v); md.update(buf.array()) }
+    def field(v: Any): Unit = v match {
+      case d: Double  => long(java.lang.Double.doubleToRawLongBits(d))
+      case n: Long    => long(n)
+      case n: Int     => long(n.toLong)
+      case b: Boolean => long(if (b) 1L else 0L)
+      case s: String  => val bytes = s.getBytes("UTF-8"); long(bytes.length.toLong); md.update(bytes)
+      case s: Seq[_]  => long(s.size.toLong); s.foreach(field)
+      case other      => fail(s"no digest for ${other.getClass}")
+    }
+    rows.foreach(_.productIterator.foreach(field))
+    md.digest().take(8).map(b => f"$b%02x").mkString
+  }
+
+  for ((spec, nTruth, nObs, hash) <- pinned) test(s"${spec.name}: every scene's generated rows are pinned") {
+    val scenes = (0L until spec.nScenes).map(PerceptionData.genScene(spec, _))
+    val got = (scenes.map(_._1.size).sum, scenes.map(_._2.size).sum,
+      digest(scenes.iterator.flatMap { case (truth, obs) => truth.iterator ++ obs.iterator }))
+    assert(got == ((nTruth, nObs, hash)), s"${spec.name}: (truth rows, observation rows, digest)")
+  }
+
   test("generation is deterministic in (spec, scene)") {
     val (t1, o1) = PerceptionData.genScene(tiny, 0)
     val (t2, o2) = PerceptionData.genScene(tiny, 0)
