@@ -25,16 +25,44 @@ object Experiments {
 
   private val cfg = FixyConfig()
 
+  /** Run `body` on `spec`'s generated observations, cached for the call, so
+    * each of its scenes is generated once for them.
+    */
+  private def generated[A](spec: DatasetSpec)(body: Dataset[Obs] => A)(implicit spark: SparkSession): A = {
+    val obs = PerceptionData.observations(spec).cache()
+    try body(obs) finally obs.unpersist()
+  }
+
   /** Run `body` on `eval`'s associated observations (model ones only when
     * `modelOnly`) and ground truth, both cached for the call.
     */
   private def onEval[A](eval: DatasetSpec, modelOnly: Boolean = false)(
-      body: (Dataset[TrackedObs], Dataset[TruthRow]) => A)(implicit spark: SparkSession): A = {
-    val obs = PerceptionData.observations(eval)
+      body: (Dataset[TrackedObs], Dataset[TruthRow]) => A)(implicit spark: SparkSession): A = generated(eval) { obs =>
     val tracked = Association.assignTracks(if (modelOnly) obs.filter(_.source == Sources.Model) else obs, cfg.assoc).cache()
     val truth = PerceptionData.truth(eval).cache()
     try body(tracked, truth) finally { tracked.unpersist(); truth.unpersist() }
   }
+
+  // The random severity ordering is a draw from a distribution; average a
+  // few seeds so the baseline row reports its expectation rather than one
+  // lucky/unlucky shuffle (the paper's protocol, one audit, cannot be
+  // re-drawn — ours can).
+  private val randSeeds = 1L to 5L
+
+  /** Table 3's seven rankings: Fixy, MA(conf), and MA(rand) under each seed. */
+  private[repro] def table3Rankings(learned: LearnedModel): Seq[(String, Fixy.Ranking)] = Seq(
+    "fixy" -> Fixy.missingTracks(learned, cfg),
+    "ma-conf" -> ModelAssertions.consistency("conf", cfg.minTrackObs, seed = 0),
+  ) ++ randSeeds.map(s => s"ma-rand-$s" -> ModelAssertions.consistency("rand", cfg.minTrackObs, seed = s))
+
+  /** §8.4's pair: Fixy, excluding the tracks the ad-hoc MAs flag, and
+    * uncertainty sampling. The appear setting is strict (≤ 4 obs): short
+    * detection fragments are the appear assertion's territory, and §8.4
+    * searches for what the ad-hoc MAs *cannot* find.
+    */
+  private[repro] def modelErrorRankings(learned: LearnedModel): Seq[(String, Fixy.Ranking)] = Seq(
+    "fixy" -> Fixy.modelErrors(learned, cfg, excluded = ModelAssertions.flags(appearMinObs = 4)),
+    "uncertainty" -> Uncertainty.ranking())
 
   private def of(labeled: DataFrame, method: String): DataFrame = labeled.where(col("method") === method)
 
@@ -45,16 +73,7 @@ object Experiments {
     */
   private def table3Leg(dataset: String, learned: LearnedModel, tracked: Dataset[TrackedObs], truth: Dataset[TruthRow])(
       implicit spark: SparkSession): (Seq[Table3Row], Double, DataFrame) = {
-    // The random severity ordering is a draw from a distribution; average a
-    // few seeds so the baseline row reports its expectation rather than one
-    // lucky/unlucky shuffle (the paper's protocol, one audit, cannot be
-    // re-drawn — ours can).
-    val randSeeds = 1L to 5L
-    val rankings = Seq(
-      "fixy" -> Fixy.missingTracks(learned, cfg),
-      "ma-conf" -> ModelAssertions.consistency("conf", cfg.minTrackObs, seed = 0),
-    ) ++ randSeeds.map(s => s"ma-rand-$s" -> ModelAssertions.consistency("rand", cfg.minTrackObs, seed = s))
-    val labeled = Metrics.labelMissingTrackProposals(Fixy.rankTracks(tracked, rankings: _*).toDF(), tracked, truth)
+    val labeled = Metrics.labelMissingTrackProposals(Fixy.rankTracks(tracked, table3Rankings(learned): _*).toDF(), tracked, truth)
     val scenes = Metrics.scenesWithMissing(truth)
     def p(method: String)(k: Int): Double = Metrics.precisionAtK(of(labeled, method), scenes, k)
     def row(name: String, pAt: Int => Double) = Table3Row(name, dataset, pAt(10), pAt(5), pAt(1))
@@ -72,7 +91,7 @@ object Experiments {
     */
   def run(implicit spark: SparkSession): Results = {
     import PerceptionData._
-    def learn(train: DatasetSpec) = Fixy.learn(observations(train), cfg)
+    def learn(train: DatasetSpec) = generated(train)(Fixy.learn(_, cfg))
     val (lyft, internal) = (learn(lyftTrain), learn(internalTrain))
 
     // Table 3 (§8.2): both datasets, all three methods.
@@ -100,12 +119,7 @@ object Experiments {
     // pass, precision over the global top-10; plus the max confidence among
     // Fixy's true-positive proposals (paper: errors with confidence up to 95%).
     val modelErrors = onEval(modelErrorSim, modelOnly = true) { (tracked, _) =>
-      // Strict appear setting (≤ 4 obs): short detection fragments are the
-      // appear assertion's territory, and §8.4 searches for what the ad-hoc
-      // MAs *cannot* find.
-      val ranked = Fixy.rankTracks(tracked,
-        "fixy" -> Fixy.modelErrors(internal, cfg, excluded = ModelAssertions.flags(appearMinObs = 4)),
-        "uncertainty" -> Uncertainty.ranking())
+      val ranked = Fixy.rankTracks(tracked, modelErrorRankings(internal): _*)
       val labeled = Metrics.labelModelErrorProposals(Fixy.rankGlobally(ranked, "trackId"), tracked)
       ModelErrorsResult(Metrics.globalPrecisionAtK(of(labeled, "fixy"), 10),
         Metrics.globalPrecisionAtK(of(labeled, "uncertainty"), 10), Metrics.maxConfAmongHits(of(labeled, "fixy"), 10))

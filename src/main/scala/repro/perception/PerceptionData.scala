@@ -141,8 +141,13 @@ object PerceptionData {
       visStart: Int, visEnd: Int,
       missingTrack: Boolean,
       missingObsFrames: Set[Int],
-      missingObsKind: String,
-      badObsFrames: Set[Int])
+      missingObsKind: String)
+
+  /** A box's `l`, `w` and `h`, each scaled by `exp(N(0, sd))`, drawn in that order. */
+  private def jitter(rng: Random, sd: Double)(l: Double, w: Double, h: Double): (Double, Double, Double) = {
+    def scale(v: Double) = v * math.exp(rng.nextGaussian() * sd)
+    (scale(l), scale(w), scale(h))
+  }
 
   /** Generate one scene's ground truth and observation stream (pure). */
   def genScene(spec: DatasetSpec, sceneIdx: Long): (Vector[TruthRow], Vector[Obs]) = {
@@ -150,13 +155,10 @@ object PerceptionData {
     val clean = sceneIdx < spec.cleanScenes
 
     // --- Regular objects ---------------------------------------------------
-    var objects = Vector.empty[ObjState]
-    for (i <- 0 until spec.objectsPerScene) {
+    val regular = Vector.tabulate(spec.objectsPerScene) { i =>
       val cls = sampleClass(rng)
       val p = params(cls)
-      val l = p.l * math.exp(rng.nextGaussian() * p.dimJitter)
-      val w = p.w * math.exp(rng.nextGaussian() * p.dimJitter)
-      val h = p.h * math.exp(rng.nextGaussian() * p.dimJitter)
+      val (l, w, h) = jitter(rng, p.dimJitter)(p.l, p.w, p.h)
       val r = 5.0 + 70.0 * rng.nextDouble()
       val th = 2 * math.Pi * rng.nextDouble()
       val parked = rng.nextDouble() < p.pParked
@@ -170,97 +172,73 @@ object PerceptionData {
           (start, math.min(NFrames, start + len))
         } else (0, NFrames)
       val missing = !clean && rng.nextDouble() < spec.pMissingTrack
-      objects :+= ObjState(
+      ObjState(
         sceneIdx * IdStride + i + 1, cls, l, w, h,
         r * math.cos(th), r * math.sin(th),
         speed * math.cos(phi), speed * math.sin(phi),
-        vs, ve, missing, Set.empty, "none", Set.empty)
+        vs, ve, missing, Set.empty, "none")
     }
 
     // --- Forced audit-style missing tracks (scene 0 only) ------------------
-    if (sceneIdx == 0) {
-      spec.forcedMissingScene0.zipWithIndex.foreach { case (fm, j) =>
-        val p = params(fm.cls)
-        val l = p.l * math.exp(rng.nextGaussian() * p.dimJitter)
-        val w = p.w * math.exp(rng.nextGaussian() * p.dimJitter)
-        val h = p.h * math.exp(rng.nextGaussian() * p.dimJitter)
-        val th = 2 * math.Pi * rng.nextDouble()
-        val speed = clamp(p.speedMean + rng.nextGaussian() * p.speedSd, 0.0, p.speedMax)
-        val phi = 2 * math.Pi * rng.nextDouble()
-        val len = math.min(fm.visLen, NFrames)
-        val start = if (len >= NFrames) 0 else rng.nextInt(NFrames - len + 1)
-        objects :+= ObjState(
-          sceneIdx * IdStride + ForcedBase + j + 1, fm.cls, l, w, h,
-          fm.dist * math.cos(th), fm.dist * math.sin(th),
-          speed * math.cos(phi), speed * math.sin(phi),
-          start, start + len, missingTrack = true, Set.empty, "none", Set.empty)
-      }
+    val forced = Vector.tabulate(if (sceneIdx == 0) spec.forcedMissingScene0.size else 0) { j =>
+      val fm = spec.forcedMissingScene0(j)
+      val p = params(fm.cls)
+      val (l, w, h) = jitter(rng, p.dimJitter)(p.l, p.w, p.h)
+      val th = 2 * math.Pi * rng.nextDouble()
+      val speed = clamp(p.speedMean + rng.nextGaussian() * p.speedSd, 0.0, p.speedMax)
+      val phi = 2 * math.Pi * rng.nextDouble()
+      val len = math.min(fm.visLen, NFrames)
+      val start = if (len >= NFrames) 0 else rng.nextInt(NFrames - len + 1)
+      ObjState(
+        sceneIdx * IdStride + ForcedBase + j + 1, fm.cls, l, w, h,
+        fm.dist * math.cos(th), fm.dist * math.sin(th),
+        speed * math.cos(phi), speed * math.sin(phi),
+        start, start + len, missingTrack = true, Set.empty, "none")
     }
 
     // --- §8.3 missing-observation injection --------------------------------
     // Labeled, fully visible objects lose exactly one mid-track human frame;
     // "good" ⇒ the model box there is accurate, "bad" ⇒ badly distorted.
     val nGood = if (sceneIdx == 0) spec.goodMissingObsScene0 else 0
-    val nBad = spec.badMissingObsPerScene
-    if (nGood + nBad > 0) {
-      val eligible = objects.zipWithIndex.filter { case (o, _) =>
-        !o.missingTrack && o.visStart == 0 && o.visEnd == NFrames && math.hypot(o.x0, o.y0) < 45.0
-      }
-      eligible.take(nGood + nBad).zipWithIndex.foreach { case ((o, idx), k) =>
-        val frame = NFrames / 2 + rng.nextInt(5)
-        val good = k < nGood
-        objects = objects.updated(idx, o.copy(
-          missingObsFrames = Set(frame),
-          missingObsKind = if (good) "good" else "bad",
-          badObsFrames = if (good) Set.empty else Set(frame)))
-      }
+    val placed = regular ++ forced
+    val eligible = placed.filter { o =>
+      !o.missingTrack && o.visStart == 0 && o.visEnd == NFrames && math.hypot(o.x0, o.y0) < 45.0
+    }
+    val injected = eligible.take(nGood + spec.badMissingObsPerScene).zipWithIndex.map { case (o, k) =>
+      o.id -> (NFrames / 2 + rng.nextInt(5), if (k < nGood) "good" else "bad")
+    }.toMap
+    val objects = placed.map { o =>
+      injected.get(o.id).fold(o) { case (frame, kind) => o.copy(missingObsFrames = Set(frame), missingObsKind = kind) }
     }
 
-    // --- Emit observations for real objects --------------------------------
-    val obsOut = Vector.newBuilder[Obs]
-    for (o <- objects; f <- o.visStart until o.visEnd) {
-      val x = o.x0 + o.vx * f / Fps
-      val y = o.y0 + o.vy * f / Fps
-      val d = math.hypot(x, y)
-      if (!o.missingTrack && !o.missingObsFrames.contains(f)) {
-        obsOut += Obs(
-          sceneIdx, f, Sources.Human, o.id, o.cls,
-          x + rng.nextGaussian() * HumanNoisePos,
-          y + rng.nextGaussian() * HumanNoisePos,
-          0.0,
-          o.l * math.exp(rng.nextGaussian() * HumanNoiseDim),
-          o.w * math.exp(rng.nextGaussian() * HumanNoiseDim),
-          o.h * math.exp(rng.nextGaussian() * HumanNoiseDim),
-          conf = 1.0)
-      } else {
-        // Keep the RNG stream aligned across labeled/unlabeled variants.
-        rng.nextGaussian(); rng.nextGaussian(); rng.nextGaussian()
-        rng.nextGaussian(); rng.nextGaussian()
-      }
-      // The model predicts a "good" injected missing observation correctly;
-      // the draw is still taken, so the RNG stream stays aligned.
-      val goodInjection = o.missingObsKind == "good" && o.missingObsFrames.contains(f)
-      if (rng.nextDouble() < detectionProb(d) || goodInjection) {
-        val distort = o.badObsFrames.contains(f)
-        val dimScale = if (distort) 0.4 else 1.0
-        obsOut += Obs(
-          sceneIdx, f, Sources.Model, o.id, o.cls,
-          x + rng.nextGaussian() * spec.detNoisePos,
-          y + rng.nextGaussian() * spec.detNoisePos,
-          0.0,
-          o.l * dimScale * math.exp(rng.nextGaussian() * spec.detNoiseDim),
-          o.w * dimScale * math.exp(rng.nextGaussian() * spec.detNoiseDim),
-          o.h * dimScale * math.exp(rng.nextGaussian() * spec.detNoiseDim),
-          conf = clamp(spec.confBase - d * ConfSlope + rng.nextGaussian() * spec.confNoise, 0.05, 0.99))
-      } else {
-        rng.nextGaussian(); rng.nextGaussian(); rng.nextGaussian()
-        rng.nextGaussian(); rng.nextGaussian(); rng.nextGaussian()
+    // --- Observations of real objects --------------------------------------
+    // Each frame takes every draw, in this order, whether or not its label
+    // and detection are emitted: the label's noise, the detection draw, the
+    // detection's noise and confidence.
+    val objectObs = objects.flatMap { o =>
+      (o.visStart until o.visEnd).flatMap { f =>
+        val x = o.x0 + o.vx * f / Fps
+        val y = o.y0 + o.vy * f / Fps
+        val d = math.hypot(x, y)
+        val injectedHere = o.missingObsFrames.contains(f)
+        val hx = x + rng.nextGaussian() * HumanNoisePos
+        val hy = y + rng.nextGaussian() * HumanNoisePos
+        val (hl, hw, hh) = jitter(rng, HumanNoiseDim)(o.l, o.w, o.h)
+        // The model predicts a "good" injected missing observation correctly.
+        val detected = rng.nextDouble() < detectionProb(d) || (injectedHere && o.missingObsKind == "good")
+        val dimScale = if (injectedHere && o.missingObsKind == "bad") 0.4 else 1.0
+        val mx = x + rng.nextGaussian() * spec.detNoisePos
+        val my = y + rng.nextGaussian() * spec.detNoisePos
+        val (ml, mw, mh) = jitter(rng, spec.detNoiseDim)(o.l * dimScale, o.w * dimScale, o.h * dimScale)
+        val conf = clamp(spec.confBase - d * ConfSlope + rng.nextGaussian() * spec.confNoise, 0.05, 0.99)
+        Option.when(!o.missingTrack && !injectedHere)(
+          Obs(sceneIdx, f, Sources.Human, o.id, o.cls, hx, hy, 0.0, hl, hw, hh, conf = 1.0)) ++
+          Option.when(detected)(Obs(sceneIdx, f, Sources.Model, o.id, o.cls, mx, my, 0.0, ml, mw, mh, conf))
       }
     }
 
     // --- Ghost tracks -------------------------------------------------------
-    var ghostTruth = Vector.empty[TruthRow]
-    for (g <- 0 until spec.ghostsPerScene) {
+    val ghosts = Vector.tabulate(spec.ghostsPerScene) { g =>
       val id = -(sceneIdx * IdStride + GhostBase + g)
       val subtype =
         if (spec.maGhostMix) Seq("normal", "flicker", "appear", "multibox")(g % 4)
@@ -284,32 +262,23 @@ object PerceptionData {
       var gx = r * math.cos(th)
       var gy = r * math.sin(th)
       val jit = (0.15 + 0.30 * rng.nextDouble()) * math.min(l, w)
-      for (fi <- 0 until len) {
-        val f = start + fi
+      val obs = (0 until len).flatMap { fi =>
         gx += (2 * rng.nextDouble() - 1) * jit
         gy += (2 * rng.nextDouble() - 1) * jit
         // Flicker ghosts skip two mid frames (gap ≤ maxGap keeps one track).
         val skip = subtype == "flicker" && len >= 6 && (fi == len / 2 || fi == len / 2 + 1)
-        if (!skip) {
-          val nBoxes = if (subtype == "multibox") 3 else 1
-          for (b <- 0 until nBoxes) {
-            val off = if (nBoxes == 1) 0.0 else 0.25 * b
-            obsOut += Obs(
-              sceneIdx, f, Sources.Model, id, labelCls,
-              gx + off, gy + off, 0.0,
-              l * math.exp(rng.nextGaussian() * 0.08),
-              w * math.exp(rng.nextGaussian() * 0.08),
-              h * math.exp(rng.nextGaussian() * 0.08),
-              conf = spec.ghostConfLo + (spec.ghostConfHi - spec.ghostConfLo) * rng.nextDouble())
-          }
+        val nBoxes = if (skip) 0 else if (subtype == "multibox") 3 else 1
+        (0 until nBoxes).map { b =>
+          val (bl, bw, bh) = jitter(rng, 0.08)(l, w, h)
+          Obs(sceneIdx, start + fi, Sources.Model, id, labelCls, gx + 0.25 * b, gy + 0.25 * b, 0.0, bl, bw, bh,
+            conf = spec.ghostConfLo + (spec.ghostConfHi - spec.ghostConfLo) * rng.nextDouble())
         }
       }
-      ghostTruth :+= TruthRow(sceneIdx, id, "ghost", labelCls, missingTrack = false, "none", Seq.empty, len, r)
+      (TruthRow(sceneIdx, id, "ghost", labelCls, missingTrack = false, "none", Seq.empty, len, r), obs)
     }
 
     // --- §8.4 novel errors: consistent-but-wrong model tracks ---------------
-    var novelTruth = Vector.empty[TruthRow]
-    for (j <- 0 until spec.novelErrorsPerScene) {
+    val novel = Vector.tabulate(spec.novelErrorsPerScene) { j =>
       val id = -(sceneIdx * IdStride + NovelBase + j)
       val tpe = Seq("wrongcls", "voldrift", "jittervel")(j % 3)
       val len = 8 + rng.nextInt(8)
@@ -328,8 +297,7 @@ object PerceptionData {
       }
       var nx = r * math.cos(th)
       var ny = r * math.sin(th)
-      for (fi <- 0 until len) {
-        val f = start + fi
+      val obs = (0 until len).map { fi =>
         if (tpe == "jittervel") {
           // ±2.0 m alternating jumps (inside the tracker's distance gate for
           // the 2.7 m box): a flip-flopping, undersized car prediction.
@@ -341,15 +309,10 @@ object PerceptionData {
           ny += speed / Fps * math.sin(phi)
         }
         val scale = if (tpe == "voldrift") Seq(0.6, 1.0, 1.5)(fi % 3) else 1.0
-        obsOut += Obs(
-          sceneIdx, f, Sources.Model, id, labelCls,
-          nx, ny, 0.0,
-          bl * scale * math.exp(rng.nextGaussian() * 0.03),
-          bw * scale * math.exp(rng.nextGaussian() * 0.03),
-          bh * scale * math.exp(rng.nextGaussian() * 0.03),
-          conf = 0.88 + 0.09 * rng.nextDouble())
+        val (l, w, h) = jitter(rng, 0.03)(bl * scale, bw * scale, bh * scale)
+        Obs(sceneIdx, start + fi, Sources.Model, id, labelCls, nx, ny, 0.0, l, w, h, conf = 0.88 + 0.09 * rng.nextDouble())
       }
-      novelTruth :+= TruthRow(sceneIdx, id, "novel", labelCls, missingTrack = false, "none", Seq.empty, len, r)
+      (TruthRow(sceneIdx, id, "novel", labelCls, missingTrack = false, "none", Seq.empty, len, r), obs)
     }
 
     val objTruth = objects.map { o =>
@@ -358,7 +321,7 @@ object PerceptionData {
         o.missingObsKind, o.missingObsFrames.toSeq.sorted,
         o.visEnd - o.visStart, math.hypot(o.x0, o.y0))
     }
-    (objTruth ++ ghostTruth ++ novelTruth, obsOut.result())
+    (objTruth ++ ghosts.map(_._1) ++ novel.map(_._1), objectObs ++ ghosts.flatMap(_._2) ++ novel.flatMap(_._2))
   }
 
   // --------------------------------------------------------------------------

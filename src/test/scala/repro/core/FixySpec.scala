@@ -4,6 +4,7 @@ import org.apache.spark.sql.{DataFrame, Dataset, SparkSession}
 
 import repro.SparkSpec
 import repro.baselines.{ModelAssertions, Uncertainty}
+import repro.eval.Experiments
 import repro.perception.{DatasetSpec, PerceptionData}
 import TestObs.movingTrack
 
@@ -154,15 +155,6 @@ class FixySpec extends SparkSpec {
 
   // --- one pass: every ranking of a dataset from one rebuild of each scene --------
 
-  /** Table 3's seven rankings, named as `Experiments` names them. */
-  private def table3Rankings: Seq[(String, Fixy.Ranking)] =
-    Seq("fixy" -> Fixy.missingTracks(learned, cfg), "ma-conf" -> ModelAssertions.consistency("conf", cfg.minTrackObs, 0)) ++
-      (1L to 5L).map(s => s"ma-rand-$s" -> ModelAssertions.consistency("rand", cfg.minTrackObs, s))
-
-  /** §8.4's pair, as `Experiments` ranks it: Fixy excludes what the MAs flag. */
-  private def modelErrorRankings: Seq[(String, Fixy.Ranking)] =
-    Seq("fixy" -> Fixy.modelErrors(learned, cfg, ModelAssertions.flags(appearMinObs = 4)), "uncertainty" -> Uncertainty.ranking())
-
   test("one pass ranks each method as its single-ranking entry point does") {
     import ss.implicits._
     type Key = (Long, Long, Int, Long) // (scene, track id, rank, score bits)
@@ -180,7 +172,7 @@ class FixySpec extends SparkSpec {
 
     val missing = PerceptionData.internalTrain.copy(nScenes = 2, pMissingTrack = 0.3)
     val tracked = Association.assignTracks(PerceptionData.observations(missing), cfg.assoc).cache()
-    check(Fixy.rankTracks(tracked, table3Rankings: _*).toDF(),
+    check(Fixy.rankTracks(tracked, Experiments.table3Rankings(learned): _*).toDF(),
       Seq(("fixy", Fixy.rankMissingTracks(tracked, learned, cfg), "score"),
         ("ma-conf", ModelAssertions.consistency(tracked, "conf", cfg.minTrackObs), "severity")) ++
         (1L to 5L).map(s => (s"ma-rand-$s", ModelAssertions.consistency(tracked, "rand", cfg.minTrackObs, s), "severity")))
@@ -192,7 +184,7 @@ class FixySpec extends SparkSpec {
     // The exclusion is not vacuous: it removes tracks that Fixy would rank.
     assert(Fixy.rankModelErrors(model, learned, cfg, excludedTrackIds = flagged).count() <
       Fixy.rankModelErrors(model, learned, cfg).count())
-    check(Fixy.rankGlobally(Fixy.rankTracks(model, modelErrorRankings: _*), "trackId"),
+    check(Fixy.rankGlobally(Fixy.rankTracks(model, Experiments.modelErrorRankings(learned): _*), "trackId"),
       Seq(("fixy", Fixy.rankModelErrors(model, learned, cfg, excludedTrackIds = flagged), "score"),
         ("uncertainty", Uncertainty.rankTracks(model), "severity")))
     model.unpersist()
@@ -240,9 +232,9 @@ class FixySpec extends SparkSpec {
         ModelAssertions.consistency(_, "rand", seed = 3)),
       Ranker("uncertainty", modelErrors, true, "trackId", "severity", true, Uncertainty.rankTracks(_)),
       Ranker("one pass: Table 3", missingTracks, false, "trackId", "score", false,
-        Fixy.rankTracks(_, table3Rankings: _*).toDF()),
+        Fixy.rankTracks(_, Experiments.table3Rankings(learned): _*).toDF()),
       Ranker("one pass: §8.4", modelErrors, true, "trackId", "score", true,
-        t => Fixy.rankGlobally(Fixy.rankTracks(t, modelErrorRankings: _*), "trackId")),
+        t => Fixy.rankGlobally(Fixy.rankTracks(t, Experiments.modelErrorRankings(learned): _*), "trackId")),
     )
     for (r <- rankers) {
       def rank(t: Dataset[TrackedObs]): Seq[Ranked] = {
@@ -256,7 +248,8 @@ class FixySpec extends SparkSpec {
       assert(base.nonEmpty, r.name)
       assert(rank(tracked.orderBy(rand(7))) == base, s"${r.name}: shuffled input rows")
       assert(withPartitions(1)(rank(tracked)) == base, s"${r.name}: 1 vs 64 shuffle partitions")
-      // A per-scene pass shuffles into as many partitions as its input has.
+      // One input partition splits no scene, so the pass reads it as it is;
+      // round-robin `repartition(64)` splits scenes, so the pass shuffles them.
       for (n <- Seq(1, 64)) assert(rank(tracked.repartition(n)) == base, s"${r.name}: $n input partitions")
       if (r.relabels) {
         val relabelled = assoc(r.spec, r.modelOnly, relabel)
