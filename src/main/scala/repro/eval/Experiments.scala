@@ -25,19 +25,12 @@ object Experiments {
 
   private val cfg = FixyConfig()
 
-  /** Run `body` on `spec`'s generated observations, cached for the call, so
-    * each of its scenes is generated once for them.
-    */
-  private def generated[A](spec: DatasetSpec)(body: Dataset[Obs] => A)(implicit spark: SparkSession): A = {
-    val obs = PerceptionData.observations(spec).cache()
-    try body(obs) finally obs.unpersist()
-  }
-
   /** Run `body` on `eval`'s associated observations (model ones only when
     * `modelOnly`) and ground truth, both cached for the call.
     */
   private def onEval[A](eval: DatasetSpec, modelOnly: Boolean = false)(
-      body: (Dataset[TrackedObs], Dataset[TruthRow]) => A)(implicit spark: SparkSession): A = generated(eval) { obs =>
+      body: (Dataset[TrackedObs], Dataset[TruthRow]) => A)(implicit spark: SparkSession): A = {
+    val obs = PerceptionData.observations(eval)
     val tracked = Association.assignTracks(if (modelOnly) obs.filter(_.source == Sources.Model) else obs, cfg.assoc).cache()
     val truth = PerceptionData.truth(eval).cache()
     try body(tracked, truth) finally { tracked.unpersist(); truth.unpersist() }
@@ -91,7 +84,7 @@ object Experiments {
     */
   def run(implicit spark: SparkSession): Results = {
     import PerceptionData._
-    def learn(train: DatasetSpec) = generated(train)(Fixy.learn(_, cfg))
+    def learn(train: DatasetSpec) = Fixy.learn(observations(train), cfg)
     val (lyft, internal) = (learn(lyftTrain), learn(internalTrain))
 
     // Table 3 (§8.2): both datasets, all three methods.

@@ -213,7 +213,8 @@ object PerceptionData {
 
     // --- Observations of real objects --------------------------------------
     // Each frame takes every draw, in this order, whether or not its label
-    // and detection are emitted: the label's noise, the detection draw, the
+    // and detection are emitted, so a dropped label or a missed detection
+    // shifts no later draw: the label's noise, the detection draw, the
     // detection's noise and confidence.
     val objectObs = objects.flatMap { o =>
       (o.visStart until o.visEnd).flatMap { f =>
