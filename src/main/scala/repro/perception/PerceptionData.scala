@@ -143,10 +143,13 @@ object PerceptionData {
       missingObsFrames: Set[Int],
       missingObsKind: String)
 
+  /** A box's dimensions (a class, not a tuple, so they stay unboxed). */
+  private final case class Dims(l: Double, w: Double, h: Double)
+
   /** A box's `l`, `w` and `h`, each scaled by `exp(N(0, sd))`, drawn in that order. */
-  private def jitter(rng: Random, sd: Double)(l: Double, w: Double, h: Double): (Double, Double, Double) = {
+  private def jitter(rng: Random, sd: Double)(l: Double, w: Double, h: Double): Dims = {
     def scale(v: Double) = v * math.exp(rng.nextGaussian() * sd)
-    (scale(l), scale(w), scale(h))
+    Dims(scale(l), scale(w), scale(h))
   }
 
   /** Generate one scene's ground truth and observation stream (pure). */
@@ -158,7 +161,7 @@ object PerceptionData {
     val regular = Vector.tabulate(spec.objectsPerScene) { i =>
       val cls = sampleClass(rng)
       val p = params(cls)
-      val (l, w, h) = jitter(rng, p.dimJitter)(p.l, p.w, p.h)
+      val dims = jitter(rng, p.dimJitter)(p.l, p.w, p.h)
       val r = 5.0 + 70.0 * rng.nextDouble()
       val th = 2 * math.Pi * rng.nextDouble()
       val parked = rng.nextDouble() < p.pParked
@@ -173,7 +176,7 @@ object PerceptionData {
         } else (0, NFrames)
       val missing = !clean && rng.nextDouble() < spec.pMissingTrack
       ObjState(
-        sceneIdx * IdStride + i + 1, cls, l, w, h,
+        sceneIdx * IdStride + i + 1, cls, dims.l, dims.w, dims.h,
         r * math.cos(th), r * math.sin(th),
         speed * math.cos(phi), speed * math.sin(phi),
         vs, ve, missing, Set.empty, "none")
@@ -183,14 +186,14 @@ object PerceptionData {
     val forced = Vector.tabulate(if (sceneIdx == 0) spec.forcedMissingScene0.size else 0) { j =>
       val fm = spec.forcedMissingScene0(j)
       val p = params(fm.cls)
-      val (l, w, h) = jitter(rng, p.dimJitter)(p.l, p.w, p.h)
+      val dims = jitter(rng, p.dimJitter)(p.l, p.w, p.h)
       val th = 2 * math.Pi * rng.nextDouble()
       val speed = clamp(p.speedMean + rng.nextGaussian() * p.speedSd, 0.0, p.speedMax)
       val phi = 2 * math.Pi * rng.nextDouble()
       val len = math.min(fm.visLen, NFrames)
       val start = if (len >= NFrames) 0 else rng.nextInt(NFrames - len + 1)
       ObjState(
-        sceneIdx * IdStride + ForcedBase + j + 1, fm.cls, l, w, h,
+        sceneIdx * IdStride + ForcedBase + j + 1, fm.cls, dims.l, dims.w, dims.h,
         fm.dist * math.cos(th), fm.dist * math.sin(th),
         speed * math.cos(phi), speed * math.sin(phi),
         start, start + len, missingTrack = true, Set.empty, "none")
@@ -216,26 +219,26 @@ object PerceptionData {
     // and detection are emitted, so a dropped label or a missed detection
     // shifts no later draw: the label's noise, the detection draw, the
     // detection's noise and confidence.
-    val objectObs = objects.flatMap { o =>
-      (o.visStart until o.visEnd).flatMap { f =>
-        val x = o.x0 + o.vx * f / Fps
-        val y = o.y0 + o.vy * f / Fps
-        val d = math.hypot(x, y)
-        val injectedHere = o.missingObsFrames.contains(f)
-        val hx = x + rng.nextGaussian() * HumanNoisePos
-        val hy = y + rng.nextGaussian() * HumanNoisePos
-        val (hl, hw, hh) = jitter(rng, HumanNoiseDim)(o.l, o.w, o.h)
-        // The model predicts a "good" injected missing observation correctly.
-        val detected = rng.nextDouble() < detectionProb(d) || (injectedHere && o.missingObsKind == "good")
-        val dimScale = if (injectedHere && o.missingObsKind == "bad") 0.4 else 1.0
-        val mx = x + rng.nextGaussian() * spec.detNoisePos
-        val my = y + rng.nextGaussian() * spec.detNoisePos
-        val (ml, mw, mh) = jitter(rng, spec.detNoiseDim)(o.l * dimScale, o.w * dimScale, o.h * dimScale)
-        val conf = clamp(spec.confBase - d * ConfSlope + rng.nextGaussian() * spec.confNoise, 0.05, 0.99)
-        Option.when(!o.missingTrack && !injectedHere)(
-          Obs(sceneIdx, f, Sources.Human, o.id, o.cls, hx, hy, 0.0, hl, hw, hh, conf = 1.0)) ++
-          Option.when(detected)(Obs(sceneIdx, f, Sources.Model, o.id, o.cls, mx, my, 0.0, ml, mw, mh, conf))
-      }
+    val objectObs = Vector.newBuilder[Obs]
+    for (o <- objects; f <- o.visStart until o.visEnd) {
+      val x = o.x0 + o.vx * f / Fps
+      val y = o.y0 + o.vy * f / Fps
+      val d = math.hypot(x, y)
+      val injectedHere = o.missingObsFrames.contains(f)
+      val hx = x + rng.nextGaussian() * HumanNoisePos
+      val hy = y + rng.nextGaussian() * HumanNoisePos
+      val human = jitter(rng, HumanNoiseDim)(o.l, o.w, o.h)
+      // The model predicts a "good" injected missing observation correctly.
+      val detected = rng.nextDouble() < detectionProb(d) || (injectedHere && o.missingObsKind == "good")
+      val dimScale = if (injectedHere && o.missingObsKind == "bad") 0.4 else 1.0
+      val mx = x + rng.nextGaussian() * spec.detNoisePos
+      val my = y + rng.nextGaussian() * spec.detNoisePos
+      val model = jitter(rng, spec.detNoiseDim)(o.l * dimScale, o.w * dimScale, o.h * dimScale)
+      val conf = clamp(spec.confBase - d * ConfSlope + rng.nextGaussian() * spec.confNoise, 0.05, 0.99)
+      if (!o.missingTrack && !injectedHere)
+        objectObs += Obs(sceneIdx, f, Sources.Human, o.id, o.cls, hx, hy, 0.0, human.l, human.w, human.h, conf = 1.0)
+      if (detected)
+        objectObs += Obs(sceneIdx, f, Sources.Model, o.id, o.cls, mx, my, 0.0, model.l, model.w, model.h, conf)
     }
 
     // --- Ghost tracks -------------------------------------------------------
@@ -270,8 +273,8 @@ object PerceptionData {
         val skip = subtype == "flicker" && len >= 6 && (fi == len / 2 || fi == len / 2 + 1)
         val nBoxes = if (skip) 0 else if (subtype == "multibox") 3 else 1
         (0 until nBoxes).map { b =>
-          val (bl, bw, bh) = jitter(rng, 0.08)(l, w, h)
-          Obs(sceneIdx, start + fi, Sources.Model, id, labelCls, gx + 0.25 * b, gy + 0.25 * b, 0.0, bl, bw, bh,
+          val box = jitter(rng, 0.08)(l, w, h)
+          Obs(sceneIdx, start + fi, Sources.Model, id, labelCls, gx + 0.25 * b, gy + 0.25 * b, 0.0, box.l, box.w, box.h,
             conf = spec.ghostConfLo + (spec.ghostConfHi - spec.ghostConfLo) * rng.nextDouble())
         }
       }
@@ -310,8 +313,9 @@ object PerceptionData {
           ny += speed / Fps * math.sin(phi)
         }
         val scale = if (tpe == "voldrift") Seq(0.6, 1.0, 1.5)(fi % 3) else 1.0
-        val (l, w, h) = jitter(rng, 0.03)(bl * scale, bw * scale, bh * scale)
-        Obs(sceneIdx, start + fi, Sources.Model, id, labelCls, nx, ny, 0.0, l, w, h, conf = 0.88 + 0.09 * rng.nextDouble())
+        val box = jitter(rng, 0.03)(bl * scale, bw * scale, bh * scale)
+        Obs(sceneIdx, start + fi, Sources.Model, id, labelCls, nx, ny, 0.0, box.l, box.w, box.h,
+          conf = 0.88 + 0.09 * rng.nextDouble())
       }
       (TruthRow(sceneIdx, id, "novel", labelCls, missingTrack = false, "none", Seq.empty, len, r), obs)
     }
@@ -322,7 +326,7 @@ object PerceptionData {
         o.missingObsKind, o.missingObsFrames.toSeq.sorted,
         o.visEnd - o.visStart, math.hypot(o.x0, o.y0))
     }
-    (objTruth ++ ghosts.map(_._1) ++ novel.map(_._1), objectObs ++ ghosts.flatMap(_._2) ++ novel.flatMap(_._2))
+    (objTruth ++ ghosts.map(_._1) ++ novel.map(_._1), objectObs.result() ++ ghosts.flatMap(_._2) ++ novel.flatMap(_._2))
   }
 
   // --------------------------------------------------------------------------
