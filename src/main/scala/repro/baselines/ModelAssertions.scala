@@ -25,15 +25,15 @@ object ModelAssertions {
       case other  => throw new IllegalArgumentException(s"unknown ordering: $other")
     })
 
-  /** [[consistency]] alone. Columns: scene, trackId, nObs, nHuman, meanConf, cls, severity, per-scene `rank`. */
+  /** [[consistency]] alone: [[Fixy.rankMissingTracks]]' columns, with `score` named `severity`. */
   def consistency(
       tracked: Dataset[TrackedObs],
       ordering: String,
       minObs: Int = 3,
       seed: Long = 0,
   )(implicit spark: SparkSession): DataFrame =
-    Fixy.rankTracks(tracked, ordering -> consistency(ordering, minObs, seed)).withColumnRenamed("score", "severity")
-      .select("scene", "trackId", "nObs", "nHuman", "meanConf", "cls", "severity", "rank")
+    Fixy.rankTracks(tracked, ordering -> consistency(ordering, minObs, seed)).drop("method")
+      .withColumnRenamed("score", "severity")
 
   /** The `rand` severity, bit for bit Spark's `abs(hash(trackId, seed))`. */
   private[baselines] def randSeverity(seed: Long)(trackId: Long): Double =

@@ -1,9 +1,8 @@
 package repro.core
 
 import scala.collection.immutable.ArraySeq
-import scala.jdk.CollectionConverters._
 
-import org.apache.spark.sql.{DataFrame, Dataset, Encoder, Row, SparkSession}
+import org.apache.spark.sql.{DataFrame, Dataset, Encoder, SparkSession}
 import org.apache.spark.sql.functions.col
 
 /** A class-conditional learned distribution (§5.2): a KDE per class with
@@ -22,23 +21,26 @@ final case class ClassKde(byClass: Map[String, Kde], pooled: Kde) {
   */
 final case class LearnedModel(byFeature: Map[String, ClassKde])
 
-/** Pipeline configuration; defaults follow §3/§8. */
+/** Pipeline configuration; defaults follow §3/§8. Each field is one the
+  * benchmark harness reads as well: it associates with `assoc`, checks the
+  * count filter against `minTrackObs`, and times the velocity and per-class
+  * KDE layers with `fps` and `minClassSamples`.
+  */
 final case class FixyConfig(
     assoc: Association.Config = Association.Config(),
+    /** Frame rate (Hz) that turns a transition's displacement into a speed. */
     fps: Double = 5.0,
     /** Table 2 "Count": filter tracks with two or fewer observations. */
     minTrackObs: Int = 3,
-    /** e-fold scale (m) of the manual distance severity distribution. */
-    distanceScale: Double = 60.0,
     /** Minimum per-class sample count before falling back to the pooled KDE. */
     minClassSamples: Int = 10,
 )
 
 /** One track ranked by the ranking named `method`: its severity as `score`
-  * (Eq. 2 for Fixy), with the per-track statistics the applications filter
-  * and report on: observation counts, distinct frames, mean and max model
-  * confidence (None without model observations) and the smallest member
-  * class. `rank` is 1-based within the scene and method.
+  * (Eq. 2 for Fixy), with what the applications filter and report on: the
+  * observation counts, the max model confidence (None without model
+  * observations) and the smallest member class. `rank` is 1-based within the
+  * scene and method.
   */
 final case class ScoredTrack(
     method: String,
@@ -47,9 +49,6 @@ final case class ScoredTrack(
     score: Double,
     nObs: Long,
     nHuman: Long,
-    nModel: Long,
-    nFrames: Long,
-    meanConf: Option[Double],
     maxConf: Option[Double],
     cls: String,
     rank: Int,
@@ -94,6 +93,8 @@ object Fixy {
   // transition instance advances the frame, so its speed is defined.
   private val volume = Loa.ObsFeature("volume", _.volume)
   private val distance = Loa.ObsFeature("distance", _.distanceToAv)
+  /** e-fold scale (m) of the manual distance severity distribution. */
+  private[core] val DistanceScale = 60.0
   private def velocity(cfg: FixyConfig) = Loa.TransitionFeature("velocity", Loa.transitionSpeed(_, _, cfg.fps).get)
   private val count = Loa.TrackFeature("count", _.nObs.toDouble)
 
@@ -149,7 +150,7 @@ object Fixy {
     val aof: Aof = if (invert) Aof.Invert else Aof.Identity
     def learned(f: Loa.Feature) = Loa.AppliedFeature(f, aof, model.byFeature(f.name).likelihood)
     // Manual severity distribution over distance-to-AV (Table 2 "Distance").
-    val manualDistance = Loa.AppliedFeature(distance, aof, (_, d) => math.exp(-d / cfg.distanceScale))
+    val manualDistance = Loa.AppliedFeature(distance, aof, (_, d) => math.exp(-d / DistanceScale))
     Seq(learned(volume)) ++
       (if (useDistance) Seq(manualDistance) else Seq.empty) ++
       Seq(learned(velocity(cfg))) ++
@@ -190,27 +191,20 @@ object Fixy {
       rankings.flatMap { case (method, Ranking(keep, severity)) =>
         inRankOrder(tracks.filter(keep).map { t =>
           val obs = t.allObs
-          val conf = t.modelConf
           ScoredTrack(method, scene, t.trackId, severity(t), nObs = obs.size, nHuman = obs.count(_.source == Sources.Human),
-            nModel = conf.size, nFrames = t.bundles.map(_.frame).distinct.size, meanConf = t.meanConf,
-            maxConf = conf.maxOption, cls = obs.map(_.cls).min, rank = 0)
+            maxConf = t.modelConf.maxOption, cls = obs.map(_.cls).min, rank = 0)
         })(_.score, _.trackId)((t, rank) => t.copy(rank = rank))
       }
     }
   }
 
-  /** Rank each `method`'s rows (all rows, if there is no `method`) as one list
-    * across scenes, on the driver (the scored rows are few), in
-    * [[inRankOrder]] by `score` and `id`. `rank` is renumbered in a local frame.
+  /** Rank each `method`'s rows as one list across scenes, on the driver (the
+    * scored rows are few), in [[inRankOrder]] by `score` and `trackId`.
     */
-  private[repro] def rankGlobally(ranked: Dataset[_], id: String): DataFrame = {
-    val df = ranked.toDF()
-    val Seq(score, key, rank) = Seq("score", id, "rank").map(df.schema.fieldIndex)
-    val method = df.columns.indexOf("method")
-    val rows = df.collect().toSeq.groupBy(r => if (method < 0) "" else r.getString(method)).values.toSeq.flatMap {
-      inRankOrder(_)(_.getDouble(score), _.getLong(key))((r, i) => Row.fromSeq(r.toSeq.updated(rank, i)))
-    }
-    df.sparkSession.createDataFrame(rows.asJava, df.schema)
+  private[repro] def rankGlobally(ranked: Dataset[ScoredTrack])(implicit spark: SparkSession): Dataset[ScoredTrack] = {
+    import spark.implicits._
+    ranked.collect().toSeq.groupBy(_.method).values.toSeq
+      .flatMap(inRankOrder(_)(_.score, _.trackId)((t, rank) => t.copy(rank = rank))).toDS()
   }
 
   /** Eq. 2 over a track's factor graph, as a ranking severity. */
@@ -275,6 +269,17 @@ object Fixy {
     }.toDF()
   }
 
+  /** [[rankMissingObservations]]'s candidates as one list across scenes, on
+    * the driver, in [[inRankOrder]] by `score` and `bundleId`: the §8.3
+    * experiment's rank over all scenes and distractors.
+    */
+  private[repro] def rankMissingObservationsGlobally(tracked: Dataset[TrackedObs], model: LearnedModel, cfg: FixyConfig)(
+      implicit spark: SparkSession): DataFrame = {
+    import spark.implicits._
+    val candidates = rankMissingObservations(tracked, model, cfg).as[ScoredBundle].collect().toSeq
+    inRankOrder(candidates)(_.score, _.bundleId)((b, rank) => b.copy(rank = rank)).toDF()
+  }
+
   // --------------------------------------------------------------------------
   // Application 3 (§7, §8.4): finding erroneous ML model predictions.
   // --------------------------------------------------------------------------
@@ -298,6 +303,6 @@ object Fixy {
       excludedTrackIds: Seq[Long] = Seq.empty,
   )(implicit spark: SparkSession): DataFrame = {
     val excluded = excludedTrackIds.toSet
-    rankGlobally(rankTracks(tracked, "fixy" -> modelErrors(model, cfg, t => excluded(t.trackId))), "trackId").drop("method")
+    rankGlobally(rankTracks(tracked, "fixy" -> modelErrors(model, cfg, t => excluded(t.trackId)))).drop("method")
   }
 }

@@ -45,8 +45,10 @@ final case class Kde(
 }
 
 object Kde {
-  val DefaultGridSize   = 512
-  val DefaultMaxSamples = 2000
+  /** The most values a fit keeps ([[subsample]]). */
+  val MaxSamples = 2000
+  /** The number of points of a fit's density grid. */
+  val GridSize = 512
 
   /** Robust Silverman rule-of-thumb bandwidth: 1.06 · min(σ, IQR/1.34) ·
     * n^(−1/5), floored at an absolute 1e-3 so constant data stays usable. The
@@ -93,20 +95,15 @@ object Kde {
     }
   }
 
-  /** Fit a KDE over `values`, subsampled ([[subsample]]) above `maxSamples`. */
-  def fit(
-      values: Seq[Double],
-      maxSamples: Int = DefaultMaxSamples,
-      gridSize: Int = DefaultGridSize,
-  ): Kde = {
+  /** Fit a KDE over `values`, subsampled ([[subsample]]) above [[MaxSamples]]. */
+  def fit(values: Seq[Double]): Kde = {
     require(values.nonEmpty, "cannot fit a KDE over no values")
-    require(gridSize >= 2, s"gridSize must be >= 2, got $gridSize")
-    val kept = subsample(values, maxSamples)
+    val kept = subsample(values, MaxSamples)
     val h = silvermanBandwidth(kept.toIndexedSeq)
     val lo = kept.head - 4.0 * h
     val hi = kept.last + 4.0 * h
-    val step = (hi - lo) / (gridSize - 1)
-    val grid = Array.tabulate(gridSize)(i => pdfExact(kept, h)(lo + i * step))
+    val step = (hi - lo) / (GridSize - 1)
+    val grid = Array.tabulate(GridSize)(i => pdfExact(kept, h)(lo + i * step))
     val maxD = grid.max
     Kde(h, lo, step, grid, if (maxD > 0) maxD else 1.0)
   }

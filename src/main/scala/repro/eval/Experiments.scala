@@ -55,7 +55,7 @@ object Experiments {
     */
   private[repro] def modelErrorRankings(learned: LearnedModel): Seq[(String, Fixy.Ranking)] = Seq(
     "fixy" -> Fixy.modelErrors(learned, cfg, excluded = ModelAssertions.flags(appearMinObs = 4)),
-    "uncertainty" -> Uncertainty.ranking())
+    "uncertainty" -> Uncertainty.ranking)
 
   private def of(labeled: DataFrame, method: String): DataFrame = labeled.where(col("method") === method)
 
@@ -102,7 +102,7 @@ object Experiments {
     // top of the candidate bundles (`rank` is global, across all
     // scenes/distractors).
     val missingObs = onEval(missingObsSim) { (tracked, truth) =>
-      val ranked = Fixy.rankGlobally(Fixy.rankMissingObservations(tracked, internal, cfg), "bundleId")
+      val ranked = Fixy.rankMissingObservationsGlobally(tracked, internal, cfg)
       val labeled = Metrics.labelMissingObsProposals(ranked, tracked, truth)
       MissingObsResult(Metrics.goodObservationRank(labeled), labeled.count())
     }
@@ -113,7 +113,7 @@ object Experiments {
     // Fixy's true-positive proposals (paper: errors with confidence up to 95%).
     val modelErrors = onEval(modelErrorSim, modelOnly = true) { (tracked, _) =>
       val ranked = Fixy.rankTracks(tracked, modelErrorRankings(internal): _*)
-      val labeled = Metrics.labelModelErrorProposals(Fixy.rankGlobally(ranked, "trackId"), tracked)
+      val labeled = Metrics.labelModelErrorProposals(Fixy.rankGlobally(ranked).toDF(), tracked)
       ModelErrorsResult(Metrics.globalPrecisionAtK(of(labeled, "fixy"), 10),
         Metrics.globalPrecisionAtK(of(labeled, "uncertainty"), 10), Metrics.maxConfAmongHits(of(labeled, "fixy"), 10))
     }

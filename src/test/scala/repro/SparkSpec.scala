@@ -1,8 +1,11 @@
 package repro
 
-import org.apache.spark.sql.SparkSession
+import scala.reflect.runtime.universe.TypeTag
+
+import org.apache.spark.sql.{Dataset, SparkSession}
 import org.scalatest.funsuite.AnyFunSuite
 
+import repro.core.{Association, Obs, TrackedObs}
 import repro.jobs.JobSession
 
 /** Base for every test: one local-mode SparkSession for the whole run, built
@@ -15,6 +18,15 @@ import repro.jobs.JobSession
   */
 trait SparkSpec extends AnyFunSuite {
   lazy val spark: SparkSession = SparkSpec.shared
+
+  /** Fixture rows as a Dataset. */
+  def toDs[A <: Product: TypeTag](rows: Seq[A]): Dataset[A] = {
+    import spark.implicits._
+    spark.createDataset(rows)
+  }
+
+  /** Fixture observations, associated under the default configuration. */
+  def tracked(os: Seq[Obs]): Dataset[TrackedObs] = Association.assignTracks(toDs(os))(spark)
 }
 
 object SparkSpec {

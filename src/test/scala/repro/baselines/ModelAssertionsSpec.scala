@@ -10,11 +10,6 @@ import repro.perception.PerceptionData
 class ModelAssertionsSpec extends SparkSpec {
   implicit private lazy val ss: SparkSession = spark
 
-  private def toDs(os: Seq[Obs]) = {
-    import ss.implicits._
-    ss.createDataset(os)
-  }
-  private def tracked(os: Seq[Obs]) = Association.assignTracks(toDs(os))
   /** The ids of the tracks in `t` that `assertion` flags. */
   private def flagged(t: Dataset[TrackedObs], assertion: Loa.Track => Boolean): Seq[Long] =
     Loa.fromTracked(t.collect().toSeq).flatMap(_.tracks).filter(assertion).map(_.trackId)
@@ -51,8 +46,11 @@ class ModelAssertionsSpec extends SparkSpec {
   test("conf ordering ranks by mean confidence descending") {
     val hi = movingTrack(5, trueId = 1, conf = 0.95)
     val lo = movingTrack(5, trueId = 2, y0 = 50, conf = 0.4)
-    val out = ModelAssertions.consistency(tracked(hi ++ lo), "conf").collect().sortBy(_.getAs[Int]("rank"))
-    assert(out.head.getAs[Double]("meanConf") > out.last.getAs[Double]("meanConf"))
+    val t = tracked(hi ++ lo).cache()
+    val objectOf = t.collect().map(o => o.trackId -> o.trueId).toMap
+    val out = ModelAssertions.consistency(t, "conf").collect().sortBy(_.getAs[Int]("rank"))
+    assert(out.map(r => objectOf(r.getAs[Long]("trackId"))).toSeq == Seq(1L, 2L))
+    t.unpersist()
   }
   test("rand severity equals Spark's abs(hash(trackId, seed)) on every lyftEval and internalAudit track") {
     import org.apache.spark.sql.functions.{abs, col, hash, lit}

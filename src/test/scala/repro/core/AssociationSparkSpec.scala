@@ -9,11 +9,6 @@ class AssociationSparkSpec extends SparkSpec {
   implicit private lazy val ss: SparkSession = spark
   import org.apache.spark.sql.functions._
 
-  private def toDs(os: Seq[Obs]) = {
-    import ss.implicits._
-    ss.createDataset(os)
-  }
-
   test("spark wrapper matches the pure per-scene algorithm") {
     val scene0 = movingTrack(8, scene = 0) ++ movingTrack(5, scene = 0, trueId = 2, y0 = 40)
     val scene1 = movingTrack(6, scene = 1, trueId = 3)

@@ -23,7 +23,7 @@ object DataFrameReference {
   }
 
   /** The manual distance distribution (Table 2 "Distance"). */
-  private def distanceUdf(cfg: FixyConfig) = udf((d: Double) => math.exp(-d / cfg.distanceScale))
+  private val distanceUdf = udf((d: Double) => math.exp(-d / Fixy.DistanceScale))
 
   /** Per-bundle representative centers + the speed to the previous bundle of
     * the same track (the transition feature's raw value). `bcls` is the
@@ -57,8 +57,7 @@ object DataFrameReference {
     *  - `invert` — apply the `1 − x` AOF to every learned factor (searching
     *     for unlikely tracks).
     *
-    * Output columns: scene, trackId, score, nObs, nHuman, nModel, nFrames,
-    * meanConf, maxConf, cls.
+    * Output columns: scene, trackId, score, nObs, nHuman, maxConf, cls.
     */
   def scoreTracks(
       tracked: Dataset[TrackedObs],
@@ -68,7 +67,7 @@ object DataFrameReference {
       useTrackLength: Boolean = false,
       invert: Boolean = false,
   )(implicit spark: SparkSession): DataFrame = {
-    val (volLikU, distLikU, velLikU) = (likelihoodUdf(model, "volume"), distanceUdf(cfg), likelihoodUdf(model, "velocity"))
+    val (volLikU, distLikU, velLikU) = (likelihoodUdf(model, "volume"), distanceUdf, likelihoodUdf(model, "velocity"))
     val lenLikU = likelihoodUdf(model, "count")
     def aof(p: org.apache.spark.sql.Column): org.apache.spark.sql.Column =
       if (invert) lit(1.0) - p else p
@@ -88,9 +87,6 @@ object DataFrameReference {
         sum(col("lnVol") + col("lnDist")).as("obsLog"),
         count(lit(1)).as("nObs"),
         sum(when(col("source") === Sources.Human, 1).otherwise(0)).as("nHuman"),
-        sum(when(col("source") === Sources.Model, 1).otherwise(0)).as("nModel"),
-        countDistinct("frame").as("nFrames"),
-        avg(when(col("source") === Sources.Model, col("conf"))).as("meanConf"),
         max(when(col("source") === Sources.Model, col("conf"))).as("maxConf"),
         min("cls").as("cls"),
       )
@@ -114,7 +110,7 @@ object DataFrameReference {
     withLen
       .withColumn("nFactors", col("nObs") * obsFactorsPerObs + col("nTrans") + col("nLenFactors"))
       .withColumn("score", (col("obsLog") + col("transLog") + col("lenLog")) / col("nFactors"))
-      .select("scene", "trackId", "score", "nObs", "nHuman", "nModel", "nFrames", "meanConf", "maxConf", "cls")
+      .select("scene", "trackId", "score", "nObs", "nHuman", "maxConf", "cls")
   }
 
   /** Rank model-only bundles that belong to tracks containing at least one
@@ -130,7 +126,7 @@ object DataFrameReference {
       model: LearnedModel,
       cfg: FixyConfig = FixyConfig(),
   )(implicit spark: SparkSession): DataFrame = {
-    val (volLikU, distLikU, velLikU) = (likelihoodUdf(model, "volume"), distanceUdf(cfg), likelihoodUdf(model, "velocity"))
+    val (volLikU, distLikU, velLikU) = (likelihoodUdf(model, "volume"), distanceUdf, likelihoodUdf(model, "velocity"))
     def lnF(p: org.apache.spark.sql.Column) = log(greatest(lit(Eps), p))
 
     val df = tracked.toDF()

@@ -16,11 +16,6 @@ class FixySpec extends SparkSpec {
   private lazy val trainSpec = PerceptionData.internalTrain.copy(nScenes = 4)
   private lazy val learned: LearnedModel = Fixy.learn(PerceptionData.observations(trainSpec), cfg)
 
-  private def toDs(os: Seq[Obs]) = {
-    import ss.implicits._
-    ss.createDataset(os)
-  }
-
   // --- offline learning (§5.2) ---------------------------------------------
 
   /** `model`'s learned likelihood of a value of `feature` for class `cls`. */
@@ -55,6 +50,10 @@ class FixySpec extends SparkSpec {
     assert(distanceLik(0) === 1.0)
     assert(math.abs(distanceLik(60) - math.exp(-1)) < 1e-12)
     assert(distanceLik(10) > distanceLik(50))
+  }
+  test("the scorer's frame rate is the generator's") {
+    // Velocity is a displacement times `fps`; the generator moves objects at `Fps`.
+    assert(cfg.fps == PerceptionData.Fps)
   }
   test("all four classes get class-conditional distributions") {
     assert(Classes.All.forall(learned.byFeature("volume").byClass.contains))
@@ -97,7 +96,7 @@ class FixySpec extends SparkSpec {
   private def differential(useDistance: Boolean, useTrackLength: Boolean, invert: Boolean): Unit = {
     val spec = PerceptionData.internalTrain.copy(nScenes = 2, objectsPerScene = 8, ghostsPerScene = 4)
     val tracked = Association.assignTracks(PerceptionData.observations(spec), cfg.assoc).cache()
-    val columns = Seq("trackId", "score", "nObs", "nHuman", "nModel", "nFrames", "meanConf", "maxConf", "cls")
+    val columns = Seq("trackId", "score", "nObs", "nHuman", "maxConf", "cls")
     def byTrack(df: DataFrame) =
       df.select(columns.map(col): _*).collect().map(r => r.getLong(0) -> r).toMap
     val features = Fixy.driverFeatures(learned, cfg, useDistance, useTrackLength, invert)
@@ -184,7 +183,7 @@ class FixySpec extends SparkSpec {
     // The exclusion is not vacuous: it removes tracks that Fixy would rank.
     assert(Fixy.rankModelErrors(model, learned, cfg, excludedTrackIds = flagged).count() <
       Fixy.rankModelErrors(model, learned, cfg).count())
-    check(Fixy.rankGlobally(Fixy.rankTracks(model, Experiments.modelErrorRankings(learned): _*), "trackId"),
+    check(Fixy.rankGlobally(Fixy.rankTracks(model, Experiments.modelErrorRankings(learned): _*)).toDF(),
       Seq(("fixy", Fixy.rankModelErrors(model, learned, cfg, excludedTrackIds = flagged), "score"),
         ("uncertainty", Uncertainty.rankTracks(model), "severity")))
     model.unpersist()
@@ -234,7 +233,7 @@ class FixySpec extends SparkSpec {
       Ranker("one pass: Table 3", missingTracks, false, "trackId", "score", false,
         Fixy.rankTracks(_, Experiments.table3Rankings(learned): _*).toDF()),
       Ranker("one pass: §8.4", modelErrors, true, "trackId", "score", true,
-        t => Fixy.rankGlobally(Fixy.rankTracks(t, Experiments.modelErrorRankings(learned): _*), "trackId")),
+        t => Fixy.rankGlobally(Fixy.rankTracks(t, Experiments.modelErrorRankings(learned): _*)).toDF()),
     )
     for (r <- rankers) {
       def rank(t: Dataset[TrackedObs]): Seq[Ranked] = {
@@ -266,17 +265,17 @@ class FixySpec extends SparkSpec {
   test("every ranker returns no rows, with its documented columns, on empty input") {
     import ss.implicits._
     val empty = ss.emptyDataset[TrackedObs]
-    val scored = Seq("scene", "trackId", "score", "nObs", "nHuman", "nModel", "nFrames", "meanConf", "maxConf", "cls", "rank")
-    val ma = Seq("scene", "trackId", "nObs", "nHuman", "meanConf", "cls", "severity", "rank")
+    // Two track shapes: Fixy's `score` is a baseline's `severity`.
+    val scored = Seq("scene", "trackId", "score", "nObs", "nHuman", "maxConf", "cls", "rank")
+    val baseline = Seq("scene", "trackId", "severity", "nObs", "nHuman", "maxConf", "cls", "rank")
     val rankings = Seq(
       "rankMissingTracks" -> (Fixy.rankMissingTracks(empty, learned, cfg), scored),
       "rankMissingObservations" -> (Fixy.rankMissingObservations(empty, learned, cfg),
         Seq("scene", "trackId", "bundleId", "frame", "score", "nObs", "cls", "rank")),
       "rankModelErrors" -> (Fixy.rankModelErrors(empty, learned, cfg), scored),
-      "MA(conf)" -> (ModelAssertions.consistency(empty, "conf"), ma),
-      "MA(rand)" -> (ModelAssertions.consistency(empty, "rand", seed = 1), ma),
-      "uncertainty" -> (Uncertainty.rankTracks(empty),
-        Seq("scene", "trackId", "nObs", "meanConf", "maxConf", "severity", "rank")),
+      "MA(conf)" -> (ModelAssertions.consistency(empty, "conf"), baseline),
+      "MA(rand)" -> (ModelAssertions.consistency(empty, "rand", seed = 1), baseline),
+      "uncertainty" -> (Uncertainty.rankTracks(empty), baseline),
     )
     for ((name, (df, columns)) <- rankings) {
       assert(df.columns.toSeq == columns, name)
@@ -417,6 +416,18 @@ class FixySpec extends SparkSpec {
       .orderBy(desc("score")).select("tid").collect().map(_.getLong(0))
     assert(joined.nonEmpty)
     assert(joined.head == goodId, s"top candidate was ${joined.head}, expected $goodId")
+    tracked.unpersist()
+  }
+
+  test("the §8.3 experiment's rank is one list over all scenes, by score then bundle id") {
+    import ss.implicits._
+    val spec = PerceptionData.missingObsSim.copy(nScenes = 3)
+    val tracked = Association.assignTracks(PerceptionData.observations(spec), cfg.assoc).cache()
+    val perScene = Fixy.rankMissingObservations(tracked, learned, cfg).as[ScoredBundle].collect().toSeq
+    val global = Fixy.rankMissingObservationsGlobally(tracked, learned, cfg).as[ScoredBundle].collect().toSeq.sortBy(_.rank)
+    assert(perScene.map(_.scene).distinct.size > 1)
+    assert(global.map(_.rank) == (1 to perScene.size))
+    assert(global.map(_.copy(rank = 0)) == perScene.map(_.copy(rank = 0)).sortBy(b => (-b.score, b.bundleId)))
     tracked.unpersist()
   }
 

@@ -14,14 +14,6 @@ class MetricsSpec extends SparkSpec {
   implicit private lazy val ss: SparkSession = spark
   import org.apache.spark.sql.functions._
 
-  private def toDs(os: Seq[Obs]) = {
-    import ss.implicits._
-    ss.createDataset(os)
-  }
-  private def truthDs(rows: Seq[TruthRow]) = {
-    import ss.implicits._
-    ss.createDataset(rows)
-  }
   private def truthRow(scene: Long, id: Long, missing: Boolean): TruthRow =
     TruthRow(scene, id, "object", Classes.Car, missing, "none", Seq.empty, 10, 20.0)
 
@@ -56,7 +48,7 @@ class MetricsSpec extends SparkSpec {
   }
 
   test("the answer key is the real objects whose human track is missing") {
-    val truth = truthDs(Seq(
+    val truth = toDs(Seq(
       truthRow(0, 1, missing = true), truthRow(0, 2, missing = false), truthRow(3, 4, missing = true),
       truthRow(0, -1001, missing = true).copy(kind = "ghost"), truthRow(1, -50001, missing = true).copy(kind = "novel")))
     assert(Metrics.missingObjects(truth).map(_.trueId).sorted == Seq(1L, 4L))
@@ -67,7 +59,7 @@ class MetricsSpec extends SparkSpec {
     val missed = movingTrack(5, trueId = 1)
     val ghost = movingTrack(5, trueId = -3, y0 = 50)
     val tracked = Association.assignTracks(toDs(missed ++ ghost)).cache()
-    val truth = truthDs(Seq(truthRow(0, 1, missing = true)))
+    val truth = toDs(Seq(truthRow(0, 1, missing = true)))
     val ranked = Fixy.rankMissingTracks(tracked, MetricsSpec.tinyModel, FixyConfig())
     val labeled = Metrics.labelMissingTrackProposals(ranked, tracked, truth).collect()
     assert(labeled.length == 2)
@@ -237,7 +229,7 @@ class MetricsSpec extends SparkSpec {
       import ss.implicits._
       Seq((0L, larger, 0.0, Classes.Car, 1), (0L, smaller, 0.0, Classes.Car, 2)).toDF("scene", "trackId", "score", "cls", "rank")
     }
-    val truth = truthDs(Seq(truthRow(0, largerObject, missing = true)))
+    val truth = toDs(Seq(truthRow(0, largerObject, missing = true)))
     assert(Metrics.recallPerClassTopK(ranked, tracked, truth, k = 1) == ((1L, 1L)))
     tracked.unpersist()
   }
